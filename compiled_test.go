@@ -13,7 +13,7 @@ import (
 // programs (the default) and one forced onto the tree-walking
 // interpreter. Both receive identical transaction streams from
 // same-seed generators, so any divergence is a compiler bug.
-func compiledPair(t *testing.T, scenario core.Scenario, seed int64, extra ...core.ManagerOption) (compiled, interp *core.Manager, wc, wi *workload.Retail) {
+func compiledPair(t *testing.T, scenario core.Scenario, seed int64) (compiled, interp *core.Manager, wc, wi *workload.Retail) {
 	t.Helper()
 	cfg := workload.RetailConfig{
 		Customers:    120,
@@ -39,8 +39,8 @@ func compiledPair(t *testing.T, scenario core.Scenario, seed int64, extra ...cor
 		}
 		return m, w
 	}
-	compiled, wc = build(extra...)
-	interp, wi = build(append([]core.ManagerOption{core.WithInterpretedDeltas()}, extra...)...)
+	compiled, wc = build()
+	interp, wi = build(core.WithInterpretedDeltas())
 	return compiled, interp, wc, wi
 }
 
@@ -239,97 +239,6 @@ func TestCompiledPoliciesMatchInterpreted(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestCompiledShardedMatchesInterpretedSerial pits the most-optimized
-// configuration (compiled programs over 4 hash shards) against the
-// least (serial interpreter): every logical log and differential table
-// must Σ-match, and the MVs must agree after propagate + refresh.
-func TestCompiledShardedMatchesInterpretedSerial(t *testing.T) {
-	cfg := workload.RetailConfig{
-		Customers:    120,
-		HighFraction: 0.25,
-		InitialSales: 600,
-		Items:        60,
-		ZipfS:        1.2,
-		Seed:         83,
-	}
-	build := func(opts ...core.ManagerOption) (*core.Manager, *workload.Retail) {
-		db := storage.NewDatabase()
-		w := workload.NewRetail(cfg)
-		if err := w.Setup(db); err != nil {
-			t.Fatal(err)
-		}
-		m := core.NewManager(db, opts...)
-		def, err := w.ViewDef()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.DefineView("hv", def, core.Combined); err != nil {
-			t.Fatal(err)
-		}
-		return m, w
-	}
-	sharded, wc := build(core.WithShards(4))
-	serial, wi := build(core.WithInterpretedDeltas())
-
-	for tick := 1; tick <= 24; tick++ {
-		if err := sharded.Execute(wc.Basket(2, 6, 0.2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := serial.Execute(wi.Basket(2, 6, 0.2)); err != nil {
-			t.Fatal(err)
-		}
-		if tick%9 == 0 {
-			fc, err := wc.ScoreFlip()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fi, err := wi.ScoreFlip()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sharded.Execute(fc); err != nil {
-				t.Fatal(err)
-			}
-			if err := serial.Execute(fi); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := sharded.Propagate("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.Propagate("hv"); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"__dmv_del_hv", "__dmv_add_hv"} {
-		got := mergedBag(t, sharded.DB(), name)
-		want := mergedBag(t, serial.DB(), name)
-		if !got.Equal(want) {
-			t.Fatalf("after propagate: Σ shard %s = %v, interpreted serial has %v", name, got, want)
-		}
-	}
-	if err := sharded.CheckShardInvariant("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sharded.Refresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.Refresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	qc, err := sharded.Query("hv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	qi, err := serial.Query("hv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !qc.Equal(qi) {
-		t.Fatalf("refreshed MVs differ: compiled sharded %v, interpreted serial %v", qc, qi)
 	}
 }
 

@@ -217,24 +217,12 @@ type EngineOption = sql.EngineOption
 // docs/observability.md, Tracing).
 var WithTraceSpec = sql.WithTraceSpec
 
-// WithShards partitions every Combined view the engine defines into n
-// hash shards: makesafe appends shard-locally and propagate evaluates
-// the Figure 2 DEL/ADD queries per shard (docs/architecture.md
-// "Sharding").
-var WithShards = sql.WithShards
-
 // WithRuntimeBridge starts the engine's runtime/metrics bridge: Go
 // runtime health (goroutines, heap, GC pauses, scheduler latency)
 // polled into the obs registry on a ticker, exposed alongside the
 // maintenance families on dvmstatsd's /metrics. Stop with
 // Engine.Close.
 var WithRuntimeBridge = sql.WithRuntimeBridge
-
-// WithInterpretedDeltas disables the delta-program compiler: every
-// maintenance expression is evaluated by the tree-walking interpreter.
-// Useful for differential testing and for measuring the compiler's win
-// (docs/architecture.md "Compiled delta programs").
-var WithInterpretedDeltas = sql.WithInterpretedDeltas
 
 // NewEngine creates a SQL engine over a fresh database.
 func NewEngine(opts ...EngineOption) *Engine { return sql.NewEngine(opts...) }

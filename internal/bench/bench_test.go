@@ -157,17 +157,6 @@ func TestE14Runs(t *testing.T) {
 	}
 }
 
-func TestE15Runs(t *testing.T) {
-	r := run(t, E15ShardScaling)
-	if len(r.Rows) != 4 {
-		t.Fatalf("E15 shape wrong:\n%s", r)
-	}
-	// The serial row is the baseline: its speedup column is exactly 1.00x.
-	if r.Rows[0][2] != "1.00x" {
-		t.Fatalf("E15 serial row should have speedup 1.00x:\n%s", r)
-	}
-}
-
 func TestE16Runs(t *testing.T) {
 	r := run(t, E16CompiledPrograms)
 	if len(r.Rows) != 3 || len(r.Rows[0]) != 7 {
@@ -190,9 +179,10 @@ func TestE16Runs(t *testing.T) {
 }
 
 func TestAllRegistered(t *testing.T) {
+	// E1–E14 and E16.
 	exps := All()
-	if len(exps) != 16 {
-		t.Fatalf("expected 16 experiments, got %d", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("expected 15 experiments, got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"dvm/internal/algebra"
@@ -39,24 +38,15 @@ type compiledDelta struct {
 	// differential fold, BL/C's algebraic log merge for the
 	// slow-append mode).
 	safe *compiledAssign
-	// fold is propagate_C's fold of ▼(L,Q)/▲(L,Q) into ∇MV/△MV
-	// (non-sharded Combined views).
+	// fold is propagate_C's fold of ▼(L,Q)/▲(L,Q) into ∇MV/△MV.
 	fold *compiledAssign
 	// refresh is refresh_BL's MV update from the log queries.
 	refresh *compiledAssign
 	// apply is refresh_DT / partial_refresh_C's MV update from the
-	// differential tables (non-sharded views).
+	// differential tables.
 	apply *compiledAssign
 	// def recomputes Q from scratch (RefreshRecompute).
 	def *compiledAssign
-	// shard is the per-shard [DEL, ADD] pair of a sharded Combined
-	// view, with one persistent state per shard (each shard is
-	// evaluated by at most one worker at a time, and pinning states to
-	// shards keeps a shard's join indexes valid across propagates) plus
-	// one for the merged-fallback plan.
-	shard    *algebra.Program
-	shardSt  []*algebra.State
-	mergedSt *algebra.State
 }
 
 // WithInterpretedDeltas makes the manager evaluate every maintenance
@@ -66,17 +56,6 @@ type compiledDelta struct {
 // and as an escape hatch.
 func WithInterpretedDeltas() ManagerOption {
 	return func(m *Manager) { m.interpretDeltas = true }
-}
-
-// SetInterpretedDeltas reconfigures the evaluation engine; it fails
-// once views exist (their programs are compiled at definition time).
-// The sql engine's WithInterpretedDeltas option routes through here.
-func (m *Manager) SetInterpretedDeltas(on bool) error {
-	if len(m.views) > 0 {
-		return fmt.Errorf("core: cannot change delta engine with %d views defined", len(m.views))
-	}
-	m.interpretDeltas = on
-	return nil
 }
 
 // compilePrograms lowers the view's precompiled incremental queries
@@ -116,32 +95,19 @@ func (m *Manager) compilePrograms(v *View) error {
 			return err
 		}
 	case Combined:
-		if v.sh == nil {
-			fold, err := m.foldAssigns(v, v.blDel, v.blAdd)
-			if err != nil {
-				return err
-			}
-			if cd.fold, err = m.compileAssigns(fold); err != nil {
-				return err
-			}
-			upd, err := applyDelta(m.baseExpr(v.mvName), m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
-			if err != nil {
-				return err
-			}
-			if cd.apply, err = m.compileExprs([]string{v.mvName}, upd); err != nil {
-				return err
-			}
-		} else {
-			prog, err := algebra.Compile(v.shDel, v.shAdd)
-			if err != nil {
-				return err
-			}
-			cd.shard = prog
-			cd.shardSt = make([]*algebra.State, v.sh.n)
-			for i := range cd.shardSt {
-				cd.shardSt[i] = prog.NewState()
-			}
-			cd.mergedSt = prog.NewState()
+		fold, err := m.foldAssigns(v, v.blDel, v.blAdd)
+		if err != nil {
+			return err
+		}
+		if cd.fold, err = m.compileAssigns(fold); err != nil {
+			return err
+		}
+		upd, err := applyDelta(m.baseExpr(v.mvName), m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
+		if err != nil {
+			return err
+		}
+		if cd.apply, err = m.compileExprs([]string{v.mvName}, upd); err != nil {
+			return err
 		}
 	}
 
@@ -191,15 +157,7 @@ func (m *Manager) evalCompiled(v *View, ca *compiledAssign, parent *trace.Span) 
 	if err != nil {
 		return nil, err
 	}
-	m.observeCompiled(v, parent, dur, stats.IndexProbeTuples)
-	return outs, nil
-}
-
-// observeCompiled records one compiled evaluation's metrics and span.
-// Shard workers do not call this; their coordinator does, post-hoc,
-// with the worker-measured duration (obs writes stay single-threaded
-// per family and workers never touch the tracer).
-func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration, probed int64) {
+	probed := stats.IndexProbeTuples
 	if v.met != nil {
 		v.met.compiledEvalNs.Observe(int64(dur))
 		v.met.indexProbeTuples.Add(probed)
@@ -207,6 +165,7 @@ func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration
 	sp := parent.StartChild(trace.SpanEvalCompiled,
 		trace.Str("view", v.Name), trace.Int("index_probe_tuples", probed))
 	sp.EndExplicit(dur)
+	return outs, nil
 }
 
 // runCompiledAssigns evaluates a compiled assignment bundle and

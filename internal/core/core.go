@@ -88,14 +88,6 @@ type View struct {
 	imDel, imAdd algebra.Expr // ∇(T,Q), △(T,Q): pre-update state
 	blDel, blAdd algebra.Expr // ▼(L,Q), ▲(L,Q): post-update state
 
-	// Sharded Combined views additionally carry the per-shard DEL/ADD
-	// pair (evaluated against one shard's slice through a shardSource;
-	// see shard.go) and the physical shard layout. In sharded mode the
-	// logDel/logIns/dtDel/dtAdd names above are LOGICAL shard-group
-	// names, and blDel/blAdd read the ⊎-of-shards union expressions.
-	shDel, shAdd algebra.Expr
-	sh           *viewShards
-
 	// Precompiled makesafe assignments (Figure 3), reused every Execute.
 	safeAssigns []txn.Assignment
 
@@ -187,13 +179,6 @@ type Manager struct {
 	// shared, when non-nil, replaces per-view log upkeep with shared
 	// per-table logs (see WithSharedLogs).
 	shared *sharedState
-
-	// shards > 1 partitions every Combined view's logs, diff tables,
-	// and base mirrors into that many hash shards (see shard.go);
-	// mirrors holds the co-partitioned base copies, refcounted across
-	// views.
-	shards  int
-	mirrors map[string]*mirrorGroup
 
 	// obs is the manager's metrics registry; every maintenance entry
 	// point records into it (see metrics.go and docs/observability.md).
@@ -370,7 +355,6 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 		return nil, err
 	}
 	cleanup := func(err error) (*View, error) {
-		m.dropShards(v) // no-op unless a sharded layout was set up
 		_ = m.db.Drop(v.mvName)
 		return nil, err
 	}
@@ -400,22 +384,8 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 		m.scratchIns[b] = in
 	}
 
-	// A Combined view under WithShards gets a sharded physical layout
-	// (shard groups for logs and diffs, co-partitioned base mirrors)
-	// instead of the plain auxiliary tables. Other scenarios are
-	// unaffected: sharding targets the propagate/partial-refresh
-	// pipeline, which only the Combined scenario has.
-	sharded := m.Shards() > 1 && sc == Combined
-	if sharded {
-		if err := m.setupShards(v); err != nil {
-			return cleanup(err)
-		}
-	}
 	switch sc {
 	case BaseLogs, Combined:
-		if sharded {
-			break
-		}
 		for _, b := range bases {
 			tb, _ := m.db.Table(b)
 			dn := fmt.Sprintf("__log_del_%s__%s", b, name)
@@ -437,9 +407,6 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 	}
 	switch sc {
 	case DiffTables, Combined:
-		if sharded {
-			break
-		}
 		v.dtDel = "__dmv_del_" + name
 		v.dtAdd = "__dmv_add_" + name
 		if _, err := m.db.Create(v.dtDel, def.Schema(), storage.Internal); err != nil {
@@ -473,21 +440,17 @@ func (m *Manager) DropView(name string) error {
 		return err
 	}
 	_ = m.db.Drop(v.mvName)
-	if v.sh != nil {
-		m.dropShards(v)
-	} else {
-		for _, b := range v.bases {
-			if n, ok := v.logDel[b]; ok {
-				_ = m.db.Drop(n)
-			}
-			if n, ok := v.logIns[b]; ok {
-				_ = m.db.Drop(n)
-			}
+	for _, b := range v.bases {
+		if n, ok := v.logDel[b]; ok {
+			_ = m.db.Drop(n)
 		}
-		if v.dtDel != "" {
-			_ = m.db.Drop(v.dtDel)
-			_ = m.db.Drop(v.dtAdd)
+		if n, ok := v.logIns[b]; ok {
+			_ = m.db.Drop(n)
 		}
+	}
+	if v.dtDel != "" {
+		_ = m.db.Drop(v.dtDel)
+		_ = m.db.Drop(v.dtAdd)
 	}
 	m.unregisterSharedView(v)
 	delete(m.views, name)
@@ -579,25 +542,18 @@ func (m *Manager) txnChangeSet(v *View) delta.ChangeSet {
 }
 
 // logChangeSet builds the log-relative change set over the view's own
-// log tables. For a sharded view each log is the ⊎ of its shard
-// slices, so everything compiled from this set (blDel/blAdd, PastExpr)
-// keeps working against the live database unchanged.
+// log tables.
 func (m *Manager) logChangeSet(v *View) delta.ChangeSet {
 	cs := delta.ChangeSet{}
 	for _, b := range v.bases {
 		tb, _ := m.db.Table(b)
-		var dE, iE algebra.Expr
-		if v.sh != nil {
-			dE = shardUnionExpr(v.sh.logDel[b])
-			iE = shardUnionExpr(v.sh.logIns[b])
-		} else {
-			dE = algebra.NewBase(v.logDel[b], tb.Schema())
-			iE = algebra.NewBase(v.logIns[b], tb.Schema())
-		}
 		cs[b] = struct {
 			Deleted  algebra.Expr
 			Inserted algebra.Expr
-		}{Deleted: dE, Inserted: iE}
+		}{
+			Deleted:  algebra.NewBase(v.logDel[b], tb.Schema()),
+			Inserted: algebra.NewBase(v.logIns[b], tb.Schema()),
+		}
 	}
 	return cs
 }
@@ -630,12 +586,6 @@ func (m *Manager) compile(v *View) error {
 			}
 		}
 		v.blDel, v.blAdd = algebra.OptimizePair(d, a)
-		if v.sh != nil {
-			// The per-shard DEL/ADD pair workers evaluate (see shard.go).
-			if err := m.compileShardQueries(v); err != nil {
-				return err
-			}
-		}
 	}
 
 	switch v.Scenario {
@@ -649,13 +599,6 @@ func (m *Manager) compile(v *View) error {
 		v.safeAssigns = []txn.Assignment{{Table: v.mvName, Expr: upd}}
 
 	case BaseLogs, Combined:
-		if v.sh != nil {
-			// Sharded views always append through the shard-local fast
-			// path (appendToLogsSharded): the algebraic reference form
-			// would need one assignment per shard against tables the
-			// planner cannot name statically.
-			break
-		}
 		// makesafe_BL (= makesafe_C): extend the log, weakly minimally:
 		//   ▼R := ▼R ⊎ (∇R ∸ ▲R)
 		//   ▲R := (▲R ∸ ∇R) ⊎ △R

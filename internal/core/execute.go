@@ -51,7 +51,7 @@ func (m *Manager) Execute(t txn.Txn) error {
 	// spans several views, so the pprof label carries no dvm_view; the
 	// cost is distributed across the affected views' phase accounting
 	// below, mirroring the makesafe_ns share.
-	restoreLabels := obs.SetPhaseLabels("", "", obs.PhaseMakesafe)
+	restoreLabels := obs.SetPhaseLabels("", obs.PhaseMakesafe)
 	defer restoreLabels()
 	alloc0 := obs.HeapAllocBytes()
 	xsp := m.startEntrySpan(trace.SpanExecute, trace.Int("tables", int64(len(nt))))
@@ -93,18 +93,6 @@ func (m *Manager) Execute(t txn.Txn) error {
 			// Shared-log mode: the batch is appended once per TABLE
 			// below, not once per view.
 			msp.End()
-			continue
-		}
-		if v.sh != nil {
-			// Sharded Combined view: route ∇R/△R by shard key and merge
-			// shard-locally under per-shard locks (makesafe_C with a
-			// partitioned log; see shard.go). The in-place merge is the
-			// only form — slowLogAppend has no algebraic twin here.
-			err := m.appendToLogsSharded(v, nt)
-			msp.End()
-			if err != nil {
-				return err
-			}
 			continue
 		}
 		if (v.Scenario == BaseLogs || v.Scenario == Combined) && !m.slowLogAppend {
@@ -173,10 +161,6 @@ func (m *Manager) Execute(t txn.Txn) error {
 				tb.Data().AddBag(u.Insert)
 			}
 		}
-		// Co-partitioned base mirrors (sharded views) receive the same
-		// effective deltas, routed per shard, so each mirror group stays
-		// exactly its base's hash slice.
-		m.updateMirrors(nt)
 		return nil
 	}
 	if len(lockMVs) > 0 {

@@ -72,8 +72,7 @@ func (m *Manager) currentExpr(v *View) (algebra.Expr, error) {
 	case Immediate:
 		return cur, nil
 	case DiffTables, Combined:
-		dd, da := m.diffExprs(v) // ⊎-of-shards when the view is sharded
-		cur, err = applyDelta(cur, dd, da)
+		cur, err = applyDelta(cur, m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
 		if err != nil {
 			return nil, err
 		}

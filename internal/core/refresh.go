@@ -30,7 +30,7 @@ func (m *Manager) Refresh(name string) error {
 	rsp := m.startEntrySpan(trace.SpanRefresh,
 		trace.Str("view", v.Name), trace.Str("scenario", v.Scenario.String()))
 	sp := obs.StartSpan(v.met.refreshNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRefresh), v.Name, "", obs.PhaseRefresh)
+	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRefresh), v.Name, obs.PhaseRefresh)
 	defer func() {
 		rg.End()
 		v.Stats.Refreshes++
@@ -123,7 +123,7 @@ func (m *Manager) refreshFromLogLocked(v *View, parent *trace.Span) error {
 	return txn.ApplyAssignments(m.db, assigns)
 }
 
-// clearLogs empties the view's (non-sharded) log tables in place — the
+// clearLogs empties the view's log tables in place — the
 // L := ∅ half of refresh_BL / propagate_C on the compiled path, run
 // after the compiled update has installed. Equivalent to the
 // emptyAssign form: clearing carries no right-hand side to stage.
@@ -147,9 +147,6 @@ func (m *Manager) clearLogs(v *View) error {
 // MV := (MV ∸ ∇MV) ⊎ △MV; ∇MV := ∅; △MV := ∅. The Locked suffix is a
 // contract dvmlint enforces: the caller must hold the MV write lock.
 func (m *Manager) applyDiffTablesLocked(v *View, parent *trace.Span) error {
-	if v.sh != nil {
-		return m.applyDiffShardsLocked(v)
-	}
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.diffVolume(v)))
 	}
@@ -198,7 +195,7 @@ func (m *Manager) Propagate(name string) error {
 	start := time.Now()
 	psp := m.startEntrySpan(trace.SpanPropagate, trace.Str("view", v.Name))
 	sp := obs.StartSpan(v.met.propagateNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePropagate), v.Name, "", obs.PhasePropagate)
+	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePropagate), v.Name, obs.PhasePropagate)
 	defer func() {
 		rg.End()
 		v.Stats.Propagates++
@@ -242,12 +239,8 @@ func (m *Manager) consumeWindowIfShared(v *View) {
 // needs no MV lock, only the manager's single-writer discipline.
 // (It was once named propagateLocked; dvmlint's lock-discipline check
 // flagged the unlocked call from Propagate, and the fix was renaming:
-// the lock was never required.) parent anchors the per-shard spans of
-// the sharded path.
+// the lock was never required.) parent anchors the compiled-eval span.
 func (m *Manager) foldLog(v *View, parent *trace.Span) error {
-	if v.sh != nil {
-		return m.foldLogSharded(v, parent)
-	}
 	if v.met != nil {
 		v.met.propagateTuples.Add(int64(m.logVolume(v)))
 	}
@@ -282,7 +275,7 @@ func (m *Manager) PartialRefresh(name string) error {
 	start := time.Now()
 	prsp := m.startEntrySpan(trace.SpanPartialRefresh, trace.Str("view", v.Name))
 	sp := obs.StartSpan(v.met.partialNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePartialRefresh), v.Name, "", obs.PhasePartialRefresh)
+	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePartialRefresh), v.Name, obs.PhasePartialRefresh)
 	defer func() {
 		rg.End()
 		v.Stats.PartialCount++
@@ -310,7 +303,7 @@ func (m *Manager) RefreshRecompute(name string) error {
 	start := time.Now()
 	rcsp := m.startEntrySpan(trace.SpanRecompute, trace.Str("view", v.Name))
 	sp := obs.StartSpan(v.met.recomputeNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRecompute), v.Name, "", obs.PhaseRecompute)
+	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRecompute), v.Name, obs.PhaseRecompute)
 	defer func() {
 		rg.End()
 		v.Stats.Recomputes++
@@ -342,10 +335,6 @@ func (m *Manager) RefreshRecompute(name string) error {
 		// window is consumed too.
 		if m.shared != nil && (v.Scenario == BaseLogs || v.Scenario == Combined) {
 			m.advanceCursors(v)
-		}
-		if v.sh != nil {
-			m.clearShardStateLocked(v)
-			return nil
 		}
 		for _, b := range v.bases {
 			if n, ok := v.logDel[b]; ok {

@@ -82,15 +82,8 @@ func DefaultConfig() Config {
 			"refreshFromLogLocked", "applyDiffTablesLocked", "RefreshRecompute",
 			// propagate_* family (incl. shared-log window upkeep).
 			"foldLog", "materializeWindow",
-			// Sharded counterparts of the same transactions
-			// (docs/architecture.md "Sharding"): makesafe_C's per-shard
-			// log append + mirror upkeep, propagate_C's staged fold,
-			// refresh_C's per-diff-shard apply and recompute reset.
-			"appendToLogsSharded", "updateMirrors", "foldLogSharded",
-			"clearLogShard", "applyDiffShardsLocked", "clearShardStateLocked",
-			// View (de)initialization (ensureMirror seeds a shard
-			// group's base mirrors at DefineView time).
-			"DefineView", "ensureMirror",
+			// View (de)initialization.
+			"DefineView",
 			// Compiled delta programs: the same Figure 3 transactions
 			// run as fused closures, with the results installed by
 			// Table.Replace (makesafe via applyCompiledSafe inside

@@ -14,14 +14,14 @@ func populate(r *Registry) {
 	r.Gauge("log_size_tuples", "hv").Set(42)
 	r.Histogram("view_downtime_ns", "av").Observe(900)
 	r.Counter("snapshot_save_bytes", "").Add(10)
-	// Shard-labelled families ("view/sNN"), registered out of shard
-	// order: the zero-padded label must make lexicographic order equal
-	// shard-index order, double digits included.
-	r.Histogram("propagate_shard_ns", "hv/s10").Observe(100)
-	r.Histogram("propagate_shard_ns", "hv/s02").Observe(200)
-	r.Histogram("propagate_shard_ns", "hv/s00").Observe(300)
-	r.Counter("shard_fold_tuples", "hv/s01").Add(5)
-	r.Counter("shard_fold_tuples", "hv/s00").Add(4)
+	// Two-part "view/phase" labels, registered out of order: rows sort
+	// by the whole label, so zero-padded view names order by index,
+	// double digits included, and phases order within one view.
+	r.Counter("phase_cpu_ns", "v10/propagate").Add(100)
+	r.Counter("phase_cpu_ns", "v02/propagate").Add(200)
+	r.Counter("phase_cpu_ns", "v00/propagate").Add(300)
+	r.Counter("phase_alloc_bytes", "hv/refresh").Add(5)
+	r.Counter("phase_alloc_bytes", "hv/propagate").Add(4)
 }
 
 func TestRenderStableOrdering(t *testing.T) {
@@ -35,16 +35,16 @@ func TestRenderStableOrdering(t *testing.T) {
 	}
 	// Rows must be sorted by (family, label) — the registry's map order
 	// and the registration order must not leak through. For the
-	// shard-labelled families that also means shard-index order.
+	// two-part labels that also means view-index order.
 	wantOrder := []string{
 		"log_append_tuples{alpha}",
 		"log_append_tuples{zeta}",
 		"log_size_tuples{hv}",
-		"propagate_shard_ns{hv/s00}",
-		"propagate_shard_ns{hv/s02}",
-		"propagate_shard_ns{hv/s10}",
-		"shard_fold_tuples{hv/s00}",
-		"shard_fold_tuples{hv/s01}",
+		"phase_alloc_bytes{hv/propagate}",
+		"phase_alloc_bytes{hv/refresh}",
+		"phase_cpu_ns{v00/propagate}",
+		"phase_cpu_ns{v02/propagate}",
+		"phase_cpu_ns{v10/propagate}",
 		"snapshot_save_bytes",
 		"view_downtime_ns{av}",
 		"view_downtime_ns{hv}",

@@ -279,3 +279,19 @@ func TestEngineInsertNullValidation(t *testing.T) {
 	}
 	_ = schema.TNull
 }
+
+// TestEngineErrKeepsFirstOptionError pins Err's contract: a later
+// option that succeeds must not clear an earlier option's failure.
+func TestEngineErrKeepsFirstOptionError(t *testing.T) {
+	err := NewEngine(WithTraceSpec("bogus"), WithTraceSpec("all")).Err()
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("Err() = %v, want the bogus-spec error", err)
+	}
+	err = NewEngine(WithTraceSpec("rate=0"), WithTraceSpec("bogus")).Err()
+	if err == nil || !strings.Contains(err.Error(), "rate=0") {
+		t.Fatalf("Err() = %v, want the first (rate=0) error", err)
+	}
+	if err := NewEngine(WithTraceSpec("all")).Err(); err != nil {
+		t.Fatalf("valid spec reported %v", err)
+	}
+}

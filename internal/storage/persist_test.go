@@ -126,6 +126,20 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsDVM2 pins that the retired DVM2 snapshot format is
+// refused with an error naming it, not misread as DVM1 or reported as
+// generic bad magic.
+func TestLoadRejectsDVM2(t *testing.T) {
+	data := append([]byte("DVM2"), 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00)
+	_, err := Load(bytes.NewReader(data))
+	if err == nil {
+		t.Fatal("DVM2 snapshot accepted")
+	}
+	if !strings.Contains(err.Error(), `"DVM2"`) {
+		t.Fatalf("error does not name the format: %v", err)
+	}
+}
+
 func TestSaveLoadPreservesValueEdgeCases(t *testing.T) {
 	db := NewDatabase()
 	sch := schema.NewSchema(schema.Col("v", schema.TFloat))

@@ -11,9 +11,9 @@ import (
 )
 
 // TestLabeledCPUProfile is the end-to-end check of the pprof-label
-// plumbing: a CPU profile captured while a sharded engine runs the
-// retail day (the same workload `dvmbench -shards 4 -cpuprofile`
-// profiles) must contain samples labeled dvm_phase=propagate, and
+// plumbing: a CPU profile captured while E16 runs its retail days (the
+// same workload `dvmbench -exp e16 -cpuprofile` profiles) must contain
+// samples labeled dvm_phase=propagate, and
 // every dvm-labeled sample must carry a known phase and the view name.
 // CPU profiles are statistical, so when the run is too quick to be
 // sampled at all the test skips rather than flakes; with samples
@@ -26,14 +26,12 @@ func TestLabeledCPUProfile(t *testing.T) {
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Three sharded retail days ≈ several hundred milliseconds of
-	// maintenance-heavy CPU — enough for the ~100Hz sampler to land
-	// multiple samples inside the propagate regions.
-	for i := 0; i < 3; i++ {
-		if _, err := bench.ShardDayReport(4); err != nil {
-			pprof.StopCPUProfile()
-			t.Fatal(err)
-		}
+	// E16's interpreted days spend seconds of CPU in propagate — ample
+	// for the ~100Hz sampler to land many samples inside the propagate
+	// regions.
+	if _, err := bench.E16CompiledPrograms(); err != nil {
+		pprof.StopCPUProfile()
+		t.Fatal(err)
 	}
 	pprof.StopCPUProfile()
 

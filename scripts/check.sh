@@ -41,9 +41,14 @@ go test -race ./...
 if [ "${BENCHDIFF:-0}" = "1" ]; then
     echo "== benchdiff"
     ./scripts/benchdiff.sh
-    echo "== bench-shards"
-    ./scripts/benchshards.sh
 fi
+
+# perfbench/ is a separate Go module (the repository benchmark), so the
+# go commands above never compile it; build and self-test it here so an
+# API change in core/sql/storage that breaks it fails the gate.
+echo "== perfbench vet + test"
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "== fuzz (bounded)"
 go test ./internal/algebra -run '^$' -fuzz '^FuzzExprParseEval$' -fuzztime=10s
