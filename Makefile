@@ -37,8 +37,8 @@ check:
 benchdiff:
 	./scripts/benchdiff.sh
 
-# Capture labeled CPU + heap profiles of the E16 retail days into
-# profiles/ (untracked) and print the dvm_phase attribution summary.
+# Capture labeled CPU + heap profiles of BenchmarkMixedWorkloadCombined
+# into profiles/ (untracked) and print the dvm_view/dvm_phase breakdown.
 profile:
 	./scripts/profile.sh
 

@@ -1,12 +1,11 @@
 // Command dvmbench regenerates every experiment in DESIGN.md's
-// per-experiment index (E1–E14, E16) and prints the result tables that
+// per-experiment index (E1–E14) and prints the result tables that
 // EXPERIMENTS.md records.
 //
 // Usage:
 //
 //	dvmbench                    # run all experiments
-//	dvmbench -exp e4            # run one experiment (e16 is the compiled-
-//	                            # vs-interpreted delta-program day)
+//	dvmbench -exp e4            # run one experiment
 //	dvmbench -list              # list experiment ids
 //	dvmbench -json              # emit the reports (tables + obs phase timings) as JSON
 //	dvmbench -trace out.json    # also run a traced Policy-1 retail day and
@@ -14,7 +13,7 @@
 //	dvmbench -diff BENCH_X.json # fail (exit 1) if any guarded phase
 //	                            # (view_downtime_ns max, txn_exec_ns p99)
 //	                            # regressed >2x against the baseline
-//	dvmbench -exp e16 -cpuprofile cpu.pprof -memprofile heap.pprof
+//	dvmbench -exp e8 -cpuprofile cpu.pprof -memprofile heap.pprof
 //	                            # capture labeled profiles of the run; the CPU
 //	                            # profile gets a dvm_view/dvm_phase
 //	                            # attribution summary on stderr
@@ -49,7 +48,7 @@ func main() {
 // defers (StopCPUProfile, heap write, attribution summary) flush even
 // on failure paths.
 func run() int {
-	exp := flag.String("exp", "", "run a single experiment (e1..e14, e16); empty runs all")
+	exp := flag.String("exp", "", "run a single experiment (e1..e14); empty runs all")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	asJSON := flag.Bool("json", false, "emit reports as JSON (for BENCH_*.json baselines)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event file of a traced Policy-1 retail day")

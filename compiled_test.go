@@ -3,52 +3,121 @@ package dvm_test
 import (
 	"testing"
 
+	"dvm/internal/algebra"
+	"dvm/internal/bag"
 	"dvm/internal/core"
 	"dvm/internal/storage"
 	"dvm/internal/workload"
 )
 
-// compiledPair builds two managers over independently set-up copies of
-// the same retail state: one evaluating maintenance with compiled delta
-// programs (the default) and one forced onto the tree-walking
-// interpreter. Both receive identical transaction streams from
-// same-seed generators, so any divergence is a compiler bug.
-func compiledPair(t *testing.T, scenario core.Scenario, seed int64) (compiled, interp *core.Manager, wc, wi *workload.Retail) {
+// The compiled delta programs are the only evaluator of the Figure 3
+// transactions. These tests hold them to the recompute oracle: the
+// tree-walking interpreter (algebra.Eval) evaluating the view
+// definition from scratch, both directly and inside CheckInvariant /
+// CheckConsistent, which recompute Q and PAST(L,Q) with it.
+
+// oracleCase is one manager over a small retail state with the view
+// "hv" defined under one scenario.
+type oracleCase struct {
+	t   *testing.T
+	m   *core.Manager
+	w   *workload.Retail
+	def algebra.Expr
+}
+
+func newOracleCase(t *testing.T, scenario core.Scenario, seed int64) *oracleCase {
 	t.Helper()
-	cfg := workload.RetailConfig{
+	db := storage.NewDatabase()
+	w := workload.NewRetail(workload.RetailConfig{
 		Customers:    120,
 		HighFraction: 0.25,
 		InitialSales: 600,
 		Items:        60,
 		ZipfS:        1.2,
 		Seed:         seed,
+	})
+	if err := w.Setup(db); err != nil {
+		t.Fatal(err)
 	}
-	build := func(opts ...core.ManagerOption) (*core.Manager, *workload.Retail) {
-		db := storage.NewDatabase()
-		w := workload.NewRetail(cfg)
-		if err := w.Setup(db); err != nil {
-			t.Fatal(err)
-		}
-		m := core.NewManager(db, opts...)
-		def, err := w.ViewDef()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.DefineView("hv", def, scenario); err != nil {
-			t.Fatal(err)
-		}
-		return m, w
+	m := core.NewManager(db)
+	def, err := w.ViewDef()
+	if err != nil {
+		t.Fatal(err)
 	}
-	compiled, wc = build()
-	interp, wi = build(core.WithInterpretedDeltas())
-	return compiled, interp, wc, wi
+	if _, err := m.DefineView("hv", def, scenario); err != nil {
+		t.Fatal(err)
+	}
+	return &oracleCase{t: t, m: m, w: w, def: def}
 }
 
-// TestCompiledMatchesInterpretedScenarios drives the same retail stream
-// through a compiled and an interpreted manager under every maintenance
-// scenario and requires identical stale answers, fresh answers, and
-// post-refresh MVs, plus a clean INV_C-style invariant where one is
-// defined.
+// step runs one maintenance call and checks the scenario's Figure 1
+// invariant right after it.
+func (c *oracleCase) step(what string, f func() error) {
+	c.t.Helper()
+	if err := f(); err != nil {
+		c.t.Fatalf("%s: %v", what, err)
+	}
+	if err := c.m.CheckInvariant("hv"); err != nil {
+		c.t.Fatalf("after %s: %v", what, err)
+	}
+}
+
+// basket executes one customer basket, followed by a score flip when
+// flip is set, checking the invariant after each transaction.
+func (c *oracleCase) basket(flip bool) {
+	c.t.Helper()
+	c.step("basket", func() error { return c.m.Execute(c.w.Basket(2, 6, 0.2)) })
+	if flip {
+		c.step("score flip", func() error {
+			tx, err := c.w.ScoreFlip()
+			if err != nil {
+				return err
+			}
+			return c.m.Execute(tx)
+		})
+	}
+}
+
+// requireQ checks that got equals Q recomputed from scratch.
+func (c *oracleCase) requireQ(what string, got *bag.Bag) {
+	c.t.Helper()
+	want, err := algebra.Eval(c.def, c.m.DB())
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		c.t.Fatalf("%s differs from Q recomputed from scratch:\ngot  %v\nwant %v", what, got, want)
+	}
+}
+
+// requireFresh checks that QueryFresh answers Q.
+func (c *oracleCase) requireFresh(when string) {
+	c.t.Helper()
+	got, err := c.m.QueryFresh("hv", nil)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.requireQ(when+": fresh answer", got)
+}
+
+// requireRefreshed checks the postcondition of every refresh_*: Q ≡ MV,
+// both through CheckConsistent and by comparing Query with Q.
+func (c *oracleCase) requireRefreshed(when string) {
+	c.t.Helper()
+	if err := c.m.CheckConsistent("hv"); err != nil {
+		c.t.Fatalf("%s: %v", when, err)
+	}
+	got, err := c.m.Query("hv")
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.requireQ(when+": MV", got)
+}
+
+// TestCompiledMatchesInterpretedScenarios drives a retail stream
+// through one manager per maintenance scenario, checking the scenario's
+// invariant after every transaction and propagate, the fresh answer
+// against Q, and — after the closing refresh — the MV against Q.
 func TestCompiledMatchesInterpretedScenarios(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -61,95 +130,34 @@ func TestCompiledMatchesInterpretedScenarios(t *testing.T) {
 	}
 	for si, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			compiled, interp, wc, wi := compiledPair(t, sc.s, int64(40+si))
+			c := newOracleCase(t, sc.s, int64(40+si))
 			for tick := 1; tick <= 20; tick++ {
-				if err := compiled.Execute(wc.Basket(2, 6, 0.2)); err != nil {
-					t.Fatal(err)
-				}
-				if err := interp.Execute(wi.Basket(2, 6, 0.2)); err != nil {
-					t.Fatal(err)
-				}
-				if tick%7 == 0 {
-					fc, err := wc.ScoreFlip()
-					if err != nil {
-						t.Fatal(err)
-					}
-					fi, err := wi.ScoreFlip()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := compiled.Execute(fc); err != nil {
-						t.Fatal(err)
-					}
-					if err := interp.Execute(fi); err != nil {
-						t.Fatal(err)
-					}
-				}
+				c.basket(tick%7 == 0)
 				if sc.s == core.Combined && tick%5 == 0 {
-					if err := compiled.Propagate("hv"); err != nil {
+					c.step("propagate", func() error { return c.m.Propagate("hv") })
+				}
+				if sc.s == core.Immediate {
+					q, err := c.m.Query("hv")
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := interp.Propagate("hv"); err != nil {
-						t.Fatal(err)
-					}
-				}
-				qc, err := compiled.Query("hv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				qi, err := interp.Query("hv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !qc.Equal(qi) {
-					t.Fatalf("tick %d: stale answers differ: compiled %v, interpreted %v", tick, qc, qi)
+					c.requireQ("immediate MV", q)
 				}
 			}
-			fc, err := compiled.QueryFresh("hv", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fi, err := interp.QueryFresh("hv", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fc.Equal(fi) {
-				t.Fatal("fresh answers differ")
-			}
+			c.requireFresh("end of stream")
 			if sc.s != core.Immediate {
-				if err := compiled.Refresh("hv"); err != nil {
-					t.Fatal(err)
-				}
-				if err := interp.Refresh("hv"); err != nil {
-					t.Fatal(err)
-				}
+				c.step("refresh", func() error { return c.m.Refresh("hv") })
 			}
-			qc, err := compiled.Query("hv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			qi, err := interp.Query("hv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !qc.Equal(qi) {
-				t.Fatalf("refreshed MVs differ: compiled %v, interpreted %v", qc, qi)
-			}
-			if err := compiled.CheckInvariant("hv"); err != nil {
-				t.Fatal(err)
-			}
-			if err := interp.CheckInvariant("hv"); err != nil {
-				t.Fatal(err)
-			}
+			c.requireRefreshed("after refresh")
 		})
 	}
 }
 
 // TestCompiledPoliciesMatchInterpreted runs the mixed retail day under
 // each deferred-maintenance policy (1: propagate + refresh_C, 2:
-// propagate + partial_refresh_C, 3: on-demand) against compiled and
-// interpreted Combined managers and requires identical stale and fresh
-// answers throughout, ending with clean invariants.
+// propagate + partial_refresh_C, 3: on-demand) on a Combined view,
+// checking INV_C after every transaction and tick, fresh answers
+// against Q, and the MV against Q after every refresh.
 func TestCompiledPoliciesMatchInterpreted(t *testing.T) {
 	policies := []struct {
 		name string
@@ -161,146 +169,43 @@ func TestCompiledPoliciesMatchInterpreted(t *testing.T) {
 	}
 	for pi, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
-			compiled, interp, wc, wi := compiledPair(t, core.Combined, int64(70+pi))
-			rc, err := compiled.NewRunner("hv", pol.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ri, err := interp.NewRunner("hv", pol.p)
+			c := newOracleCase(t, core.Combined, int64(70+pi))
+			r, err := c.m.NewRunner("hv", pol.p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for tick := 1; tick <= 40; tick++ {
-				if err := compiled.Execute(wc.Basket(2, 6, 0.2)); err != nil {
-					t.Fatal(err)
-				}
-				if err := interp.Execute(wi.Basket(2, 6, 0.2)); err != nil {
-					t.Fatal(err)
-				}
-				if tick%13 == 0 {
-					fc, err := wc.ScoreFlip()
-					if err != nil {
-						t.Fatal(err)
-					}
-					fi, err := wi.ScoreFlip()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := compiled.Execute(fc); err != nil {
-						t.Fatal(err)
-					}
-					if err := interp.Execute(fi); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := rc.Tick(); err != nil {
-					t.Fatal(err)
-				}
-				if err := ri.Tick(); err != nil {
-					t.Fatal(err)
+				c.basket(tick%13 == 0)
+				c.step("tick", r.Tick)
+				if !pol.p.OnDemand && tick%pol.p.RefreshEvery == 0 {
+					c.requireRefreshed("after policy refresh")
 				}
 				if tick%10 == 0 {
-					fc, err := compiled.QueryFresh("hv", nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fi, err := interp.QueryFresh("hv", nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !fc.Equal(fi) {
-						t.Fatalf("tick %d: fresh answers differ", tick)
-					}
-				}
-				qc, err := compiled.Query("hv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				qi, err := interp.Query("hv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !qc.Equal(qi) {
-					t.Fatalf("tick %d: stale answers differ", tick)
+					c.requireFresh("mid-day")
 				}
 			}
 			if pol.p.OnDemand {
-				if err := rc.RefreshNow(); err != nil {
-					t.Fatal(err)
-				}
-				if err := ri.RefreshNow(); err != nil {
-					t.Fatal(err)
-				}
+				c.step("on-demand refresh", r.RefreshNow)
 			}
-			if err := compiled.CheckInvariant("hv"); err != nil {
-				t.Fatal(err)
-			}
-			if err := interp.CheckInvariant("hv"); err != nil {
-				t.Fatal(err)
-			}
+			c.requireRefreshed("end of day")
 		})
 	}
 }
 
-// TestCompiledRecomputeAndPartial covers the remaining compiled entry
-// points one by one: RefreshRecompute (full recompute via the compiled
-// definition program) and PartialRefresh must each land both managers
-// on identical MVs.
+// TestCompiledRecomputeAndPartial covers the remaining entry points one
+// by one: RefreshRecompute (full recompute via the compiled definition
+// program) and PartialRefresh must each land the MV on Q.
 func TestCompiledRecomputeAndPartial(t *testing.T) {
-	compiled, interp, wc, wi := compiledPair(t, core.Combined, 59)
-	step := func() {
-		t.Helper()
-		if err := compiled.Execute(wc.Basket(2, 6, 0.2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := interp.Execute(wi.Basket(2, 6, 0.2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	same := func(when string) {
-		t.Helper()
-		qc, err := compiled.Query("hv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		qi, err := interp.Query("hv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !qc.Equal(qi) {
-			t.Fatalf("%s: MVs differ", when)
-		}
-	}
+	c := newOracleCase(t, core.Combined, 59)
 	for i := 0; i < 8; i++ {
-		step()
+		c.basket(false)
 	}
-	if err := compiled.RefreshRecompute("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.RefreshRecompute("hv"); err != nil {
-		t.Fatal(err)
-	}
-	same("after recompute")
+	c.step("recompute", func() error { return c.m.RefreshRecompute("hv") })
+	c.requireRefreshed("after recompute")
 	for i := 0; i < 8; i++ {
-		step()
+		c.basket(false)
 	}
-	if err := compiled.Propagate("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.Propagate("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := compiled.PartialRefresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.PartialRefresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	same("after partial refresh")
-	if err := compiled.CheckInvariant("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.CheckInvariant("hv"); err != nil {
-		t.Fatal(err)
-	}
+	c.step("propagate", func() error { return c.m.Propagate("hv") })
+	c.step("partial refresh", func() error { return c.m.PartialRefresh("hv") })
+	c.requireRefreshed("after partial refresh")
 }

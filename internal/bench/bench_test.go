@@ -157,32 +157,11 @@ func TestE14Runs(t *testing.T) {
 	}
 }
 
-func TestE16Runs(t *testing.T) {
-	r := run(t, E16CompiledPrograms)
-	if len(r.Rows) != 3 || len(r.Rows[0]) != 7 {
-		t.Fatalf("E16 shape wrong:\n%s", r)
-	}
-	// Timing ratios are environment-dependent, but the compiled day must
-	// never be slower than the interpreter at the largest scale — the
-	// hash-indexed joins replace |delta|x|base| pair enumeration.
-	last := r.Rows[len(r.Rows)-1]
-	var ratio float64
-	if _, err := fmt.Sscanf(last[4], "%fx", &ratio); err != nil {
-		t.Fatalf("E16 speedup column unparseable (%q):\n%s", last[4], r)
-	}
-	if ratio < 1.0 {
-		t.Fatalf("compiled slower than interpreted at largest scale (%s):\n%s", last[4], r)
-	}
-	if last[6] == "0" {
-		t.Fatalf("compiled day probed no indexes:\n%s", r)
-	}
-}
-
 func TestAllRegistered(t *testing.T) {
-	// E1–E14 and E16.
+	// E1–E14.
 	exps := All()
-	if len(exps) != 15 {
-		t.Fatalf("expected 15 experiments, got %d", len(exps))
+	if len(exps) != 14 {
+		t.Fatalf("expected 14 experiments, got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {

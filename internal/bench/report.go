@@ -150,6 +150,5 @@ func All() []Experiment {
 		{ID: "e12", Run: E12SelfMaintainability},
 		{ID: "e13", Run: E13RelevantUpdates},
 		{ID: "e14", Run: E14FreshQueries},
-		{ID: "e16", Run: E16CompiledPrograms},
 	}
 }

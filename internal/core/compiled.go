@@ -5,8 +5,8 @@ import (
 
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
+	"dvm/internal/delta"
 	"dvm/internal/obs/trace"
-	"dvm/internal/txn"
 )
 
 // Compiled delta programs: every maintenance expression a view needs is
@@ -14,10 +14,11 @@ import (
 // DAG per transaction, the manager lowers each one ONCE through
 // algebra.Compile into fused closures with pre-resolved columns,
 // slot-cached DAG nodes, and version-validated join indexes that
-// persist across evaluations (see internal/algebra/compile.go). The
-// tree-walking interpreter stays available — WithInterpretedDeltas
-// switches every path back to it — and serves as the differential-
-// testing oracle the compiled engine is checked against.
+// persist across evaluations (see internal/algebra/compile.go). These
+// programs are the only evaluator of the Figure 3 transactions. The
+// tree-walking interpreter (algebra.Eval) is the test oracle:
+// CheckInvariant/CheckConsistent recompute Q and PAST(L,Q) with it from
+// scratch, and the differential tests hold the compiled path to it.
 
 // compiledAssign is one compiled simultaneous-assignment bundle: the
 // program's roots are the assignment right-hand sides, tables the
@@ -34,9 +35,8 @@ type compiledAssign struct {
 // nil when the scenario has no such path.
 type compiledDelta struct {
 	// safe is the makesafe program Execute installs per transaction:
-	// the compiled twin of View.safeAssigns (IM's MV update, DT's
-	// differential fold, BL/C's algebraic log merge for the
-	// slow-append mode).
+	// IM's MV update and DT's differential fold. BL/C views extend
+	// their logs in place instead (appendToLogs).
 	safe *compiledAssign
 	// fold is propagate_C's fold of ▼(L,Q)/▲(L,Q) into ∇MV/△MV.
 	fold *compiledAssign
@@ -49,73 +49,42 @@ type compiledDelta struct {
 	def *compiledAssign
 }
 
-// WithInterpretedDeltas makes the manager evaluate every maintenance
-// expression with the tree-walking interpreter instead of compiled
-// delta programs. The two engines are differentially tested to agree;
-// the flag exists for that cross-check, for ablation benchmarks (E16),
-// and as an escape hatch.
-func WithInterpretedDeltas() ManagerOption {
-	return func(m *Manager) { m.interpretDeltas = true }
-}
-
 // compilePrograms lowers the view's precompiled incremental queries
-// into compiled delta programs (no-op under WithInterpretedDeltas).
-// Must run after compile(v) and the auxiliary tables exist; the time
-// spent is recorded in delta_compile_ns.
+// into compiled delta programs. Must run after compile(v) and the
+// auxiliary tables exist; the time spent is recorded in
+// delta_compile_ns.
 func (m *Manager) compilePrograms(v *View) error {
-	if m.interpretDeltas {
-		return nil
-	}
 	start := time.Now()
 	cd := &compiledDelta{}
-
-	if len(v.safeAssigns) > 0 {
-		ca, err := m.compileAssigns(v.safeAssigns)
-		if err != nil {
-			return err
-		}
-		cd.safe = ca
-	}
+	var err error
 
 	switch v.Scenario {
+	case Immediate:
+		// makesafe_IM: MV := (MV ∸ ∇(T,Q)) ⊎ △(T,Q).
+		cd.safe, err = m.compileUpdate(v.mvName, v.imDel, v.imAdd)
 	case BaseLogs:
-		upd, err := applyDelta(m.baseExpr(v.mvName), v.blDel, v.blAdd)
-		if err != nil {
-			return err
-		}
-		if cd.refresh, err = m.compileExprs([]string{v.mvName}, upd); err != nil {
-			return err
-		}
+		// refresh_BL: MV := (MV ∸ ▼(L,Q)) ⊎ ▲(L,Q).
+		cd.refresh, err = m.compileUpdate(v.mvName, v.blDel, v.blAdd)
 	case DiffTables:
-		upd, err := applyDelta(m.baseExpr(v.mvName), m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
-		if err != nil {
-			return err
-		}
-		if cd.apply, err = m.compileExprs([]string{v.mvName}, upd); err != nil {
-			return err
+		// makesafe_DT: fold ∇(T,Q)/△(T,Q) into the differential tables;
+		// refresh_DT: MV := (MV ∸ ∇MV) ⊎ △MV.
+		if cd.safe, err = m.compileFold(v, v.imDel, v.imAdd); err == nil {
+			cd.apply, err = m.compileUpdate(v.mvName, m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
 		}
 	case Combined:
-		fold, err := m.foldAssigns(v, v.blDel, v.blAdd)
-		if err != nil {
-			return err
-		}
-		if cd.fold, err = m.compileAssigns(fold); err != nil {
-			return err
-		}
-		upd, err := applyDelta(m.baseExpr(v.mvName), m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
-		if err != nil {
-			return err
-		}
-		if cd.apply, err = m.compileExprs([]string{v.mvName}, upd); err != nil {
-			return err
+		// propagate_C: fold ▼(L,Q)/▲(L,Q) into the differential tables;
+		// partial_refresh_C: MV := (MV ∸ ∇MV) ⊎ △MV.
+		if cd.fold, err = m.compileFold(v, v.blDel, v.blAdd); err == nil {
+			cd.apply, err = m.compileUpdate(v.mvName, m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
 		}
 	}
-
-	def, err := m.compileExprs([]string{v.mvName}, v.Def)
 	if err != nil {
 		return err
 	}
-	cd.def = def
+
+	if cd.def, err = m.compileExprs([]string{v.mvName}, v.Def); err != nil {
+		return err
+	}
 
 	v.cd = cd
 	if v.met != nil {
@@ -124,17 +93,51 @@ func (m *Manager) compilePrograms(v *View) error {
 	return nil
 }
 
-// compileAssigns compiles the right-hand sides of a simultaneous
-// assignment bundle as one DAG (they share subexpressions the same way
-// the interpreter's shared memo exploits).
-func (m *Manager) compileAssigns(assigns []txn.Assignment) (*compiledAssign, error) {
-	tables := make([]string, len(assigns))
-	exprs := make([]algebra.Expr, len(assigns))
-	for i, a := range assigns {
-		tables[i] = a.Table
-		exprs[i] = a.Expr
+// compileUpdate compiles target := (target ∸ del) ⊎ add.
+func (m *Manager) compileUpdate(target string, del, add algebra.Expr) (*compiledAssign, error) {
+	upd, err := applyDelta(m.baseExpr(target), del, add)
+	if err != nil {
+		return nil, err
 	}
-	return m.compileExprs(tables, exprs...)
+	return m.compileExprs([]string{target}, upd)
+}
+
+// compileFold compiles the composition-lemma fold of (del, add) into
+// the view's differential tables (makesafe_DT and propagate_C):
+//
+//	∇MV := ∇MV ⊎ (del ∸ △MV)
+//	△MV := (△MV ∸ del) ⊎ add
+//
+// When the view uses strong minimality, the folded tables are
+// additionally kept disjoint — the "strongly minimal analog of Lemma 3"
+// the paper sketches in Section 5.3: tuples present in both ∇MV and △MV
+// cancel, which preserves (MV ∸ ∇MV) ⊎ △MV because ∇MV ⊑ MV.
+func (m *Manager) compileFold(v *View, del, add algebra.Expr) (*compiledAssign, error) {
+	dtDel := m.baseExpr(v.dtDel)
+	dtAdd := m.baseExpr(v.dtAdd)
+	newDel, err := algebra.NewMonus(del, dtAdd) // del ∸ △MV
+	if err != nil {
+		return nil, err
+	}
+	delRHS, err := algebra.NewUnionAll(dtDel, newDel)
+	if err != nil {
+		return nil, err
+	}
+	addKeep, err := algebra.NewMonus(dtAdd, del) // △MV ∸ del
+	if err != nil {
+		return nil, err
+	}
+	addRHS, err := algebra.NewUnionAll(addKeep, add)
+	if err != nil {
+		return nil, err
+	}
+	var delOut, addOut algebra.Expr = delRHS, addRHS
+	if v.StrongMinimal {
+		if delOut, addOut, err = delta.StrengthenMinimality(delOut, addOut); err != nil {
+			return nil, err
+		}
+	}
+	return m.compileExprs([]string{v.dtDel, v.dtAdd}, delOut, addOut)
 }
 
 // compileExprs compiles roots into a program whose i-th root installs
@@ -185,15 +188,4 @@ func (m *Manager) runCompiledAssigns(v *View, ca *compiledAssign, parent *trace.
 		tb.Replace(outs[i])
 	}
 	return nil
-}
-
-// applyCompiledSafe is Execute's compiled makesafe step for one view:
-// the compiled twin of appending View.safeAssigns to the transaction's
-// assignment bundle. Cross-view staging is unnecessary — no view's
-// right-hand sides read another view's targets (auxiliary tables are
-// internal, and views may only reference external tables) — so the
-// per-view evaluate-then-install preserves the simultaneous (T1+T2)
-// semantics.
-func (m *Manager) applyCompiledSafe(v *View, parent *trace.Span) error {
-	return m.runCompiledAssigns(v, v.cd.safe, parent)
 }

@@ -88,11 +88,7 @@ type View struct {
 	imDel, imAdd algebra.Expr // ∇(T,Q), △(T,Q): pre-update state
 	blDel, blAdd algebra.Expr // ▼(L,Q), ▲(L,Q): post-update state
 
-	// Precompiled makesafe assignments (Figure 3), reused every Execute.
-	safeAssigns []txn.Assignment
-
-	// cd holds the view's compiled delta programs (nil under
-	// WithInterpretedDeltas; see compiled.go).
+	// cd holds the view's compiled delta programs (see compiled.go).
 	cd *compiledDelta
 
 	// met caches this view's obs instruments (see metrics.go).
@@ -165,17 +161,6 @@ type Manager struct {
 	scratchDel map[string]string // base table -> scratch ∇R table
 	scratchIns map[string]string // base table -> scratch △R table
 
-	// interpretDeltas disables the delta-program compiler: every
-	// maintenance expression is evaluated by the tree-walking
-	// interpreter instead of compiled programs (see compiled.go).
-	interpretDeltas bool
-
-	// slowLogAppend disables the O(|∇R|+|△R|) in-place log fast path,
-	// forcing the algebraic makesafe_BL assignments instead. The two are
-	// equivalent (property-tested); the flag exists for that cross-check
-	// and for ablation benchmarks.
-	slowLogAppend bool
-
 	// shared, when non-nil, replaces per-view log upkeep with shared
 	// per-table logs (see WithSharedLogs).
 	shared *sharedState
@@ -218,12 +203,6 @@ func NewManager(db *storage.Database, opts ...ManagerOption) *Manager {
 	}
 	return m
 }
-
-// SetSlowLogAppend forces Execute to maintain logs through the
-// algebraic Figure 3 assignments (O(|log|) per transaction) instead of
-// the equivalent in-place appends (O(|change|)). For tests and
-// ablations.
-func (m *Manager) SetSlowLogAppend(on bool) { m.slowLogAppend = on }
 
 // DB exposes the underlying database (for queries and tests).
 func (m *Manager) DB() *storage.Database { return m.db }
@@ -558,8 +537,8 @@ func (m *Manager) logChangeSet(v *View) delta.ChangeSet {
 	return cs
 }
 
-// compile precompiles the view's incremental queries and makesafe
-// assignments for its scenario.
+// compile derives the view's incremental queries for its scenario;
+// compilePrograms then lowers them into compiled delta programs.
 func (m *Manager) compile(v *View) error {
 	switch v.Scenario {
 	case Immediate, DiffTables:
@@ -587,115 +566,7 @@ func (m *Manager) compile(v *View) error {
 		}
 		v.blDel, v.blAdd = algebra.OptimizePair(d, a)
 	}
-
-	switch v.Scenario {
-	case Immediate:
-		// makesafe_IM: MV := (MV ∸ ∇(T,Q)) ⊎ △(T,Q).
-		mvE := m.baseExpr(v.mvName)
-		upd, err := applyDelta(mvE, v.imDel, v.imAdd)
-		if err != nil {
-			return err
-		}
-		v.safeAssigns = []txn.Assignment{{Table: v.mvName, Expr: upd}}
-
-	case BaseLogs, Combined:
-		// makesafe_BL (= makesafe_C): extend the log, weakly minimally:
-		//   ▼R := ▼R ⊎ (∇R ∸ ▲R)
-		//   ▲R := (▲R ∸ ∇R) ⊎ △R
-		// Execute normally runs these via the O(|∇R|+|△R|) in-place fast
-		// path (appendToLogs); the algebraic assignments built here are
-		// the reference form, used by tests to cross-check the fast path
-		// and by callers that disable it.
-		for _, b := range v.bases {
-			tb, _ := m.db.Table(b)
-			sch := tb.Schema()
-			delLog := algebra.NewBase(v.logDel[b], sch)
-			insLog := algebra.NewBase(v.logIns[b], sch)
-			var txDel, txIns algebra.Expr = algebra.NewBase(m.scratchDel[b], sch), algebra.NewBase(m.scratchIns[b], sch)
-			if pred, ok := v.logFilter[b]; ok {
-				// Relevant-update detection: only σ_p of the change
-				// reaches the log (WithLogFilter).
-				sd, err := algebra.NewSelect(pred, txDel)
-				if err != nil {
-					return err
-				}
-				si, err := algebra.NewSelect(pred, txIns)
-				if err != nil {
-					return err
-				}
-				txDel, txIns = sd, si
-			}
-
-			newOld, err := algebra.NewMonus(txDel, insLog) // ∇R ∸ ▲R
-			if err != nil {
-				return err
-			}
-			delRHS, err := algebra.NewUnionAll(delLog, newOld)
-			if err != nil {
-				return err
-			}
-			insKeep, err := algebra.NewMonus(insLog, txDel) // ▲R ∸ ∇R
-			if err != nil {
-				return err
-			}
-			insRHS, err := algebra.NewUnionAll(insKeep, txIns)
-			if err != nil {
-				return err
-			}
-			v.safeAssigns = append(v.safeAssigns,
-				txn.Assignment{Table: v.logDel[b], Expr: delRHS},
-				txn.Assignment{Table: v.logIns[b], Expr: insRHS},
-			)
-		}
-
-	case DiffTables:
-		// makesafe_DT: fold ∇(T,Q)/△(T,Q) into the differential tables:
-		//   ∇MV := ∇MV ⊎ (∇(T,Q) ∸ △MV)
-		//   △MV := (△MV ∸ ∇(T,Q)) ⊎ △(T,Q)
-		assigns, err := m.foldAssigns(v, v.imDel, v.imAdd)
-		if err != nil {
-			return err
-		}
-		v.safeAssigns = assigns
-	}
 	return nil
-}
-
-// foldAssigns builds the composition-lemma fold of (del, add) into the
-// view's differential tables (used by makesafe_DT and propagate_C). When
-// the view uses strong minimality, the folded tables are additionally
-// kept disjoint — the "strongly minimal analog of Lemma 3" the paper
-// sketches in Section 5.3: tuples present in both ∇MV and △MV cancel,
-// which preserves (MV ∸ ∇MV) ⊎ △MV because ∇MV ⊑ MV.
-func (m *Manager) foldAssigns(v *View, del, add algebra.Expr) ([]txn.Assignment, error) {
-	dtDel := m.baseExpr(v.dtDel)
-	dtAdd := m.baseExpr(v.dtAdd)
-	newDel, err := algebra.NewMonus(del, dtAdd) // del ∸ △MV
-	if err != nil {
-		return nil, err
-	}
-	delRHS, err := algebra.NewUnionAll(dtDel, newDel)
-	if err != nil {
-		return nil, err
-	}
-	addKeep, err := algebra.NewMonus(dtAdd, del) // △MV ∸ del
-	if err != nil {
-		return nil, err
-	}
-	addRHS, err := algebra.NewUnionAll(addKeep, add)
-	if err != nil {
-		return nil, err
-	}
-	var delOut, addOut algebra.Expr = delRHS, addRHS
-	if v.StrongMinimal {
-		if delOut, addOut, err = delta.StrengthenMinimality(delOut, addOut); err != nil {
-			return nil, err
-		}
-	}
-	return []txn.Assignment{
-		{Table: v.dtDel, Expr: delOut},
-		{Table: v.dtAdd, Expr: addOut},
-	}, nil
 }
 
 // baseExpr builds a Base reference for an existing table.
@@ -714,13 +585,4 @@ func applyDelta(target, del, add algebra.Expr) (algebra.Expr, error) {
 		return nil, err
 	}
 	return algebra.NewUnionAll(mo, add)
-}
-
-// emptyAssign builds Table := ∅.
-func (m *Manager) emptyAssign(name string) txn.Assignment {
-	tb, err := m.db.Table(name)
-	if err != nil {
-		panic(fmt.Sprintf("core: emptyAssign(%s): %v", name, err))
-	}
-	return txn.Assignment{Table: name, Expr: algebra.Empty(tb.Schema())}
 }

@@ -71,14 +71,13 @@ func (m *Manager) Execute(t txn.Txn) error {
 		}
 	}
 
-	// Assemble the auxiliary assignments (every view's makesafe
-	// bookkeeping). The user's own base-table updates are applied in
-	// place AFTER these evaluate: every auxiliary right-hand side reads
-	// the pre-update state, so evaluating them first and mutating the
-	// base tables last realizes the simultaneous (T1+T2) semantics while
+	// Collect every view's makesafe bookkeeping. The user's own
+	// base-table updates are applied in place AFTER the makesafe
+	// programs evaluate: every auxiliary right-hand side reads the
+	// pre-update state, so evaluating them first and mutating the base
+	// tables last realizes the simultaneous (T1+T2) semantics while
 	// keeping the base update O(|change|) instead of O(|table|).
-	assigns := make([]txn.Assignment, 0, 4*len(m.order))
-	var compiledViews []*View
+	var safeViews []*View
 	var lockMVs []string
 	affected := make([]*View, 0, len(m.order))
 	for _, vn := range m.order {
@@ -89,17 +88,17 @@ func (m *Manager) Execute(t txn.Txn) error {
 		affected = append(affected, v)
 		msp := xsp.StartChild(trace.SpanMakesafe,
 			trace.Str("view", v.Name), trace.Str("scenario", v.Scenario.String()))
-		if (v.Scenario == BaseLogs || v.Scenario == Combined) && m.shared != nil {
-			// Shared-log mode: the batch is appended once per TABLE
-			// below, not once per view.
-			msp.End()
-			continue
-		}
-		if (v.Scenario == BaseLogs || v.Scenario == Combined) && !m.slowLogAppend {
-			// Fast path: the weakly minimal log merge
+		if v.Scenario == BaseLogs || v.Scenario == Combined {
+			if m.shared != nil {
+				// Shared-log mode: the batch is appended once per TABLE
+				// below, not once per view.
+				msp.End()
+				continue
+			}
+			// The weakly minimal log merge
 			//   ▼R := ▼R ⊎ (∇R ∸ ▲R);  ▲R := (▲R ∸ ∇R) ⊎ △R
 			// reads only the transaction's own deltas and touches only
-			// the delta's tuples, so it can run in place in
+			// the delta's tuples, so it runs in place in
 			// O(|∇R|+|△R|) rather than rebuilding the log tables.
 			err := m.appendToLogs(v, nt)
 			msp.End()
@@ -108,13 +107,9 @@ func (m *Manager) Execute(t txn.Txn) error {
 			}
 			continue
 		}
-		if v.cd != nil && v.cd.safe != nil {
-			// Compiled makesafe: the program evaluates and installs
-			// inside the apply closure, alongside the assignment bundle.
-			compiledViews = append(compiledViews, v)
-		} else {
-			assigns = append(assigns, v.safeAssigns...)
-		}
+		// IM/DT: the compiled makesafe program evaluates and installs
+		// inside the apply closure.
+		safeViews = append(safeViews, v)
 		if v.Scenario == Immediate {
 			lockMVs = append(lockMVs, v.mvName)
 		}
@@ -132,16 +127,16 @@ func (m *Manager) Execute(t txn.Txn) error {
 	// immediate maintenance imposes.
 	apply := func(parent *trace.Span) error {
 		asp := parent.StartChild(trace.SpanApply,
-			trace.Int("assigns", int64(len(assigns)+len(compiledViews))))
+			trace.Int("assigns", int64(len(safeViews))))
 		defer asp.End()
-		if err := txn.ApplyAssignments(m.db, assigns); err != nil {
-			return err
-		}
-		// Compiled makesafe programs run here, before the base-table
-		// updates below, so their right-hand sides read the pre-update
-		// state exactly like the assignment bundle.
-		for _, cv := range compiledViews {
-			if err := m.applyCompiledSafe(cv, asp); err != nil {
+		// The makesafe programs run before the base-table updates below,
+		// so their right-hand sides read the pre-update state. No view's
+		// right-hand sides read another view's targets (auxiliary tables
+		// are internal, and views may only reference external tables), so
+		// evaluating and installing view by view preserves the
+		// simultaneous semantics.
+		for _, v := range safeViews {
+			if err := m.runCompiledAssigns(v, v.cd.safe, asp); err != nil {
 				return err
 			}
 		}
@@ -223,11 +218,12 @@ func (m *Manager) Execute(t txn.Txn) error {
 	return nil
 }
 
-// appendToLogs performs the Figure 3 log extension in place. It is
-// observationally identical to the algebraic assignments of
-// View.safeAssigns (see TestFastLogAppendMatchesAlgebraic): for each
-// table, the bag x = ∇R ∸ ▲R is computed against the PRE-state ▲R
-// before ▲R is mutated, matching simultaneous-assignment semantics.
+// appendToLogs performs the Figure 3 log extension (makesafe_BL =
+// makesafe_C) in place. It is observationally identical to the
+// algebraic assignments ▼R := ▼R ⊎ (∇R ∸ ▲R); ▲R := (▲R ∸ ∇R) ⊎ △R
+// (see TestFastLogAppendMatchesAlgebraic): for each table, the bag
+// x = ∇R ∸ ▲R is computed against the PRE-state ▲R before ▲R is
+// mutated, matching simultaneous-assignment semantics.
 func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 	for _, b := range v.bases {
 		u, ok := nt[b]

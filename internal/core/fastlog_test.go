@@ -11,44 +11,135 @@ import (
 	"dvm/internal/txn"
 )
 
-// TestFastLogAppendMatchesAlgebraic drives identical random transaction
-// streams through two managers — one using the in-place log fast path,
-// one using the algebraic Figure 3 assignments — and asserts the log
-// tables stay byte-for-byte identical, step by step.
+// algebraicLogMerge is the reference form of makesafe_BL (=
+// makesafe_C) that appendToLogs implements in place. It copies v's log
+// tables and the effective deltas of nt into a snapshot database and
+// applies, as one simultaneous txn.ApplyAssignments bundle,
+//
+//	▼R := ▼R ⊎ (∇R ∸ ▲R)
+//	▲R := (▲R ∸ ∇R) ⊎ △R
+//
+// with ∇R/△R replaced by σ_p(∇R)/σ_p(△R) where the view has a log
+// filter p on R. Call it before Execute; the returned snapshot holds
+// the logs Execute must produce, under the view's own log names.
+func algebraicLogMerge(t *testing.T, m *Manager, v *View, nt txn.Txn) *storage.Database {
+	t.Helper()
+	snap := storage.NewDatabase()
+	load := func(name string, sch *schema.Schema, b *bag.Bag) algebra.Expr {
+		t.Helper()
+		tb, err := snap.Create(name, sch, storage.Internal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != nil {
+			tb.Replace(b.Clone())
+		}
+		return algebra.NewBase(name, sch)
+	}
+	var assigns []txn.Assignment
+	for _, b := range v.BaseTables() {
+		tb, err := m.DB().Table(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch := tb.Schema()
+		dl, _ := m.DB().Bag(v.logDel[b])
+		il, _ := m.DB().Bag(v.logIns[b])
+		delLog := load(v.logDel[b], sch, dl)
+		insLog := load(v.logIns[b], sch, il)
+		u, ok := nt[b]
+		if !ok {
+			continue
+		}
+		txDel := load("tx_del_"+b, sch, u.Delete)
+		txIns := load("tx_ins_"+b, sch, u.Insert)
+		if pred, ok := v.logFilter[b]; ok {
+			if txDel, err = algebra.NewSelect(pred, txDel); err != nil {
+				t.Fatal(err)
+			}
+			if txIns, err = algebra.NewSelect(pred, txIns); err != nil {
+				t.Fatal(err)
+			}
+		}
+		newOld, err := algebra.NewMonus(txDel, insLog) // ∇R ∸ ▲R
+		if err != nil {
+			t.Fatal(err)
+		}
+		delRHS, err := algebra.NewUnionAll(delLog, newOld)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insKeep, err := algebra.NewMonus(insLog, txDel) // ▲R ∸ ∇R
+		if err != nil {
+			t.Fatal(err)
+		}
+		insRHS, err := algebra.NewUnionAll(insKeep, txIns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assigns = append(assigns,
+			txn.Assignment{Table: v.logDel[b], Expr: delRHS},
+			txn.Assignment{Table: v.logIns[b], Expr: insRHS})
+	}
+	if err := txn.ApplyAssignments(snap, assigns); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// executeAgainstAlgebraic runs tx through m and requires every log
+// table of v to equal algebraicLogMerge's result for the same
+// pre-state, log by log.
+func executeAgainstAlgebraic(t *testing.T, m *Manager, v *View, tx txn.Txn) {
+	t.Helper()
+	nt, err := tx.Normalize(m.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := algebraicLogMerge(t, m, v, nt)
+	if err := m.Execute(tx); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range v.BaseTables() {
+		for _, name := range []string{v.logDel[b], v.logIns[b]} {
+			got, _ := m.DB().Bag(name)
+			exp, _ := want.Bag(name)
+			if !got.Equal(exp) {
+				t.Fatalf("log %s diverged from the algebraic merge:\nin place:  %v\nalgebraic: %v", name, got, exp)
+			}
+		}
+	}
+}
+
+// TestFastLogAppendMatchesAlgebraic drives random transaction streams
+// through the in-place log append and asserts that, step by step, each
+// log table equals the algebraic Figure 3 assignments evaluated on the
+// pre-transaction snapshot.
 func TestFastLogAppendMatchesAlgebraic(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	u := algebra.NewRandomUniverse(2)
 	for trial := 0; trial < 25; trial++ {
 		def := u.RandomQuery(r, 3)
 
-		// Same initial rows in both databases, loaded BEFORE the view is
-		// defined so MV starts consistent.
+		// Initial rows are loaded BEFORE the view is defined so MV
+		// starts consistent.
 		seed := bag.New()
 		for i, n := 0, r.Intn(8); i < n; i++ {
 			seed.Add(schema.Row(r.Intn(4), r.Intn(4)), 1+r.Intn(2))
 		}
-		build := func() (*Manager, *View, error) {
-			db := storage.NewDatabase()
-			for _, name := range u.Tables {
-				tb, err := db.Create(name, u.Sch, storage.External)
-				if err != nil {
-					return nil, nil, err
-				}
-				tb.Replace(seed.Clone())
+		db := storage.NewDatabase()
+		for _, name := range u.Tables {
+			tb, err := db.Create(name, u.Sch, storage.External)
+			if err != nil {
+				t.Fatal(err)
 			}
-			m := NewManager(db)
-			v, err := m.DefineView("v", def, Combined)
-			return m, v, err
+			tb.Replace(seed.Clone())
 		}
-		fast, fv, err := build()
+		m := NewManager(db)
+		v, err := m.DefineView("v", def, Combined)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, sv, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow.SetSlowLogAppend(true)
 
 		for step := 0; step < 8; step++ {
 			tx := txn.Txn{}
@@ -56,38 +147,17 @@ func TestFastLogAppendMatchesAlgebraic(t *testing.T) {
 				del, ins := u.RandomDelta(r)
 				tx[name] = txn.Update{Delete: del, Insert: ins}
 			}
-			if err := fast.Execute(tx); err != nil {
-				t.Fatal(err)
-			}
-			if err := slow.Execute(tx); err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range fv.BaseTables() {
-				for _, pair := range [][2]string{
-					{fv.logDel[b], sv.logDel[b]},
-					{fv.logIns[b], sv.logIns[b]},
-				} {
-					fb, _ := fast.DB().Bag(pair[0])
-					sb, _ := slow.DB().Bag(pair[1])
-					if !fb.Equal(sb) {
-						t.Fatalf("trial %d step %d: log %s diverged:\nfast: %v\nslow: %v\ndef=%s",
-							trial, step, pair[0], fb, sb, def)
-					}
-				}
-			}
-			if err := fast.CheckInvariant("v"); err != nil {
-				t.Fatalf("trial %d step %d: fast path broke INV_C: %v", trial, step, err)
+			executeAgainstAlgebraic(t, m, v, tx)
+			if err := m.CheckInvariant("v"); err != nil {
+				t.Fatalf("trial %d step %d: in-place append broke INV_C: %v\ndef=%s", trial, step, err, def)
 			}
 		}
 
-		// Both converge to the same consistent view.
-		for _, m := range []*Manager{fast, slow} {
-			if err := m.Refresh("v"); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.CheckConsistent("v"); err != nil {
-				t.Fatal(err)
-			}
+		if err := m.Refresh("v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckConsistent("v"); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -119,30 +189,6 @@ func TestExecuteValidatesBeforeBookkeeping(t *testing.T) {
 		}
 	}
 	if err := m.CheckInvariant("hv"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSlowLogAppendFlagLifecycle(t *testing.T) {
-	// The whole scenario lifecycle must also pass with the fast path off.
-	db, def := retailDB(t)
-	m := NewManager(db)
-	if _, err := m.DefineView("hv", def, BaseLogs); err != nil {
-		t.Fatal(err)
-	}
-	m.SetSlowLogAppend(true)
-	for i := 0; i < 4; i++ {
-		if err := m.Execute(txn.Insert("sales", bag.Of(saleRow(i%10, i, 1)))); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.CheckInvariant("hv"); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-	if err := m.Refresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CheckConsistent("hv"); err != nil {
 		t.Fatal(err)
 	}
 }

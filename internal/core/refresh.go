@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"dvm/internal/algebra"
 	"dvm/internal/bag"
 	"dvm/internal/obs"
 	"dvm/internal/obs/trace"
-	"dvm/internal/txn"
 )
 
 // Refresh brings the view table up to date ({INV_*} refresh_* {Q ≡ MV},
@@ -72,7 +70,7 @@ func (m *Manager) Refresh(name string) error {
 				return err
 			}
 			asp.SetAttrs(trace.Int("log_tuples", int64(m.logVolume(v))))
-			if err := m.foldLog(v, hold); err != nil {
+			if err := m.foldLog(v, asp); err != nil {
 				return err
 			}
 			m.consumeWindowIfShared(v)
@@ -106,27 +104,16 @@ func (m *Manager) refreshFromLogLocked(v *View, parent *trace.Span) error {
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.logVolume(v)))
 	}
-	if v.cd != nil && v.cd.refresh != nil {
-		if err := m.runCompiledAssigns(v, v.cd.refresh, parent); err != nil {
-			return err
-		}
-		return m.clearLogs(v)
-	}
-	upd, err := applyDelta(m.baseExpr(v.mvName), v.blDel, v.blAdd)
-	if err != nil {
+	if err := m.runCompiledAssigns(v, v.cd.refresh, parent); err != nil {
 		return err
 	}
-	assigns := []txn.Assignment{{Table: v.mvName, Expr: upd}}
-	for _, b := range v.bases {
-		assigns = append(assigns, m.emptyAssign(v.logDel[b]), m.emptyAssign(v.logIns[b]))
-	}
-	return txn.ApplyAssignments(m.db, assigns)
+	return m.clearLogs(v)
 }
 
 // clearLogs empties the view's log tables in place — the
-// L := ∅ half of refresh_BL / propagate_C on the compiled path, run
-// after the compiled update has installed. Equivalent to the
-// emptyAssign form: clearing carries no right-hand side to stage.
+// L := ∅ half of refresh_BL / propagate_C, run after the compiled
+// update has installed. Clearing carries no right-hand side, so doing
+// it last keeps the simultaneous-assignment semantics.
 func (m *Manager) clearLogs(v *View) error {
 	for _, b := range v.bases {
 		dl, err := m.db.Table(v.logDel[b])
@@ -150,31 +137,20 @@ func (m *Manager) applyDiffTablesLocked(v *View, parent *trace.Span) error {
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.diffVolume(v)))
 	}
-	if v.cd != nil && v.cd.apply != nil {
-		if err := m.runCompiledAssigns(v, v.cd.apply, parent); err != nil {
-			return err
-		}
-		dd, err := m.db.Table(v.dtDel)
-		if err != nil {
-			return err
-		}
-		da, err := m.db.Table(v.dtAdd)
-		if err != nil {
-			return err
-		}
-		dd.Clear()
-		da.Clear()
-		return nil
+	if err := m.runCompiledAssigns(v, v.cd.apply, parent); err != nil {
+		return err
 	}
-	upd, err := applyDelta(m.baseExpr(v.mvName), m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
+	dd, err := m.db.Table(v.dtDel)
 	if err != nil {
 		return err
 	}
-	return txn.ApplyAssignments(m.db, []txn.Assignment{
-		{Table: v.mvName, Expr: upd},
-		m.emptyAssign(v.dtDel),
-		m.emptyAssign(v.dtAdd),
-	})
+	da, err := m.db.Table(v.dtAdd)
+	if err != nil {
+		return err
+	}
+	dd.Clear()
+	da.Clear()
+	return nil
 }
 
 // Propagate implements propagate_C: fold the log's post-update
@@ -244,21 +220,10 @@ func (m *Manager) foldLog(v *View, parent *trace.Span) error {
 	if v.met != nil {
 		v.met.propagateTuples.Add(int64(m.logVolume(v)))
 	}
-	if v.cd != nil && v.cd.fold != nil {
-		if err := m.runCompiledAssigns(v, v.cd.fold, parent); err != nil {
-			return err
-		}
-		return m.clearLogs(v)
-	}
-	fold, err := m.foldAssigns(v, v.blDel, v.blAdd)
-	if err != nil {
+	if err := m.runCompiledAssigns(v, v.cd.fold, parent); err != nil {
 		return err
 	}
-	assigns := fold
-	for _, b := range v.bases {
-		assigns = append(assigns, m.emptyAssign(v.logDel[b]), m.emptyAssign(v.logIns[b]))
-	}
-	return txn.ApplyAssignments(m.db, assigns)
+	return m.clearLogs(v)
 }
 
 // PartialRefresh implements partial_refresh_C: apply the precomputed
@@ -315,22 +280,12 @@ func (m *Manager) RefreshRecompute(name string) error {
 	return m.locks.WithWriteSpan([]string{v.mvName}, rcsp, func(hold *trace.Span) error {
 		asp, dsp := m.startDowntimeSpan(v, hold)
 		defer func() { asp.EndExplicit(dsp.End()) }()
-		var fresh *bag.Bag
-		if v.cd != nil && v.cd.def != nil {
-			outs, err := m.evalCompiled(v, v.cd.def, asp)
-			if err != nil {
-				return err
-			}
-			fresh = outs[0]
-		} else {
-			var err error
-			fresh, err = algebra.Eval(v.Def, m.db)
-			if err != nil {
-				return err
-			}
+		outs, err := m.evalCompiled(v, v.cd.def, asp)
+		if err != nil {
+			return err
 		}
 		mv, _ := m.db.Table(v.mvName)
-		mv.Replace(fresh)
+		mv.Replace(outs[0])
 		// A recompute reflects the current state, so any pending shared
 		// window is consumed too.
 		if m.shared != nil && (v.Scenario == BaseLogs || v.Scenario == Combined) {

@@ -84,12 +84,12 @@ func DefaultConfig() Config {
 			"foldLog", "materializeWindow",
 			// View (de)initialization.
 			"DefineView",
-			// Compiled delta programs: the same Figure 3 transactions
-			// run as fused closures, with the results installed by
-			// Table.Replace (makesafe via applyCompiledSafe inside
-			// Execute's apply closure, refresh/propagate via
-			// runCompiledAssigns; clearLogs resets consumed logs).
-			"runCompiledAssigns", "applyCompiledSafe", "clearLogs",
+			// Compiled delta programs: the Figure 3 transactions run
+			// as fused closures, with the results installed by
+			// Table.Replace in runCompiledAssigns (IM/DT makesafe
+			// inside Execute's apply closure, refresh and propagate);
+			// clearLogs resets consumed logs.
+			"runCompiledAssigns", "clearLogs",
 		},
 		DocPkgs: []string{
 			"dvm/internal/core",

@@ -5,14 +5,13 @@ import (
 	"runtime/pprof"
 	"testing"
 
-	"dvm/internal/bench"
 	"dvm/internal/obs"
 	"dvm/internal/obs/profparse"
 )
 
 // TestLabeledCPUProfile is the end-to-end check of the pprof-label
-// plumbing: a CPU profile captured while E16 runs its retail days (the
-// same workload `dvmbench -exp e16 -cpuprofile` profiles) must contain
+// plumbing: a CPU profile captured while BenchmarkMixedWorkloadCombined
+// runs (the same workload `make profile` profiles) must contain
 // samples labeled dvm_phase=propagate, and
 // every dvm-labeled sample must carry a known phase and the view name.
 // CPU profiles are statistical, so when the run is too quick to be
@@ -26,14 +25,14 @@ func TestLabeledCPUProfile(t *testing.T) {
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// E16's interpreted days spend seconds of CPU in propagate — ample
-	// for the ~100Hz sampler to land many samples inside the propagate
-	// regions.
-	if _, err := bench.E16CompiledPrograms(); err != nil {
-		pprof.StopCPUProfile()
-		t.Fatal(err)
-	}
+	// The benchmark propagates every 8 baskets for about a second of
+	// wall time — enough for the ~100Hz sampler to land samples inside
+	// the propagate regions.
+	res := testing.Benchmark(BenchmarkMixedWorkloadCombined)
 	pprof.StopCPUProfile()
+	if res.N == 0 {
+		t.Fatal("BenchmarkMixedWorkloadCombined failed")
+	}
 
 	p, err := profparse.Parse(buf.Bytes())
 	if err != nil {
@@ -59,8 +58,8 @@ func TestLabeledCPUProfile(t *testing.T) {
 		}
 	}
 	for _, s := range p.Samples {
-		if s.Labels[obs.LabelPhase] == obs.PhasePropagate && s.Labels[obs.LabelView] != "hv" {
-			t.Errorf("propagate-labeled sample missing %s=hv: %v", obs.LabelView, s.Labels)
+		if s.Labels[obs.LabelPhase] == obs.PhasePropagate && s.Labels[obs.LabelView] != "v" {
+			t.Errorf("propagate-labeled sample missing %s=v: %v", obs.LabelView, s.Labels)
 		}
 	}
 	t.Logf("profile: %d samples, %.1f%% of CPU labeled, breakdown %v",

@@ -86,6 +86,26 @@ func TestTracePolicy1RetailDay(t *testing.T) {
 	if !apply.Exclusive {
 		t.Fatalf("%s span is not marked exclusive", trace.SpanRefreshApply)
 	}
+	// Every compiled evaluation of the refresh — propagate_C's fold and
+	// partial_refresh_C's apply — runs inside the downtime section, so
+	// its span must hang directly under the exclusive apply span.
+	evals := 0
+	var walk func(s *trace.Span)
+	walk = func(s *trace.Span) {
+		for _, c := range s.Children {
+			if c.Name == trace.SpanEvalCompiled {
+				evals++
+				if s.Name != trace.SpanRefreshApply {
+					t.Errorf("%s span parented under %s, want %s", trace.SpanEvalCompiled, s.Name, trace.SpanRefreshApply)
+				}
+			}
+			walk(c)
+		}
+	}
+	walk(refresh.Root)
+	if evals == 0 {
+		t.Fatalf("refresh trace has no %s span", trace.SpanEvalCompiled)
+	}
 
 	// (2) The traces' exclusive sections ARE the downtime histogram.
 	var exclusive int64
