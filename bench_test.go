@@ -50,10 +50,16 @@ func BenchmarkE9Batching(b *testing.B)        { benchExperiment(b, bench.E9Batch
 // --- Per-scenario makesafe cost (the E3 rows as isolated benches) ---
 
 func retailManager(b *testing.B, sc core.Scenario) (*core.Manager, *workload.Retail) {
+	return retailManagerSized(b, sc, 2000)
+}
+
+// retailManagerSized is retailManager over a load of the given number
+// of sales.
+func retailManagerSized(b *testing.B, sc core.Scenario, sales int) (*core.Manager, *workload.Retail) {
 	b.Helper()
 	db := storage.NewDatabase()
 	w := workload.NewRetail(workload.RetailConfig{
-		Customers: 300, HighFraction: 0.2, InitialSales: 2000, Items: 200, ZipfS: 1.2, Seed: 17,
+		Customers: 300, HighFraction: 0.2, InitialSales: sales, Items: 200, ZipfS: 1.2, Seed: 17,
 	})
 	if err := w.Setup(db); err != nil {
 		b.Fatal(err)
@@ -113,8 +119,41 @@ func BenchmarkRefreshCombinedFull(b *testing.B) {
 	benchRefresh(b, core.Combined, func(m *core.Manager) error { return m.Refresh("v") })
 }
 
+// BenchmarkRefreshCombinedPartial times partial_refresh_C applying the
+// same pending volume (100 sales, propagated) to views about 10x apart
+// in size, each sub-benchmark reporting |MV| before its first install
+// as mv_tuples. The install is in place, so the two should cost about
+// the same: the downtime follows the diff, not the view.
 func BenchmarkRefreshCombinedPartial(b *testing.B) {
-	benchRefresh(b, core.Combined, func(m *core.Manager) error { return m.PartialRefresh("v") })
+	for _, sales := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("sales=%d", sales), func(b *testing.B) {
+			m, w := retailManagerSized(b, core.Combined, sales)
+			v, err := m.View("v")
+			if err != nil {
+				b.Fatal(err)
+			}
+			mv, err := m.DB().Bag(v.MVTable())
+			if err != nil {
+				b.Fatal(err)
+			}
+			mvTuples := mv.Len()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := m.Execute(w.SalesBatch(100)); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Propagate("v"); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := m.PartialRefresh("v"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(mvTuples), "mv_tuples")
+		})
+	}
 }
 
 func BenchmarkRefreshRecompute(b *testing.B) {

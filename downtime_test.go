@@ -1,11 +1,15 @@
 package dvm_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"dvm/internal/bag"
 	"dvm/internal/core"
+	"dvm/internal/schema"
 	"dvm/internal/storage"
+	"dvm/internal/txn"
 	"dvm/internal/workload"
 )
 
@@ -90,4 +94,86 @@ func setupRetailDay(t *testing.T) (*core.Manager, *workload.Retail) {
 		t.Fatal(err)
 	}
 	return mgr, w
+}
+
+// TestPartialRefreshAllocsIndependentOfMV holds the paper's Policy 2
+// downtime claim (Section 5.3, Example 5.4) with a deterministic
+// counter instead of a clock: partial_refresh_C applies precomputed
+// differentials, so its work — here the heap allocations of one
+// PartialRefresh — must follow the pending diff, not the view. The same
+// 20-tuple basket is propagated over two retail loads whose views
+// differ in size at least 8x; the two PartialRefresh calls must
+// allocate within 2x of each other. Each side takes the fewest
+// allocations of three rounds so a stray runtime allocation cannot
+// decide the comparison.
+func TestPartialRefreshAllocsIndependentOfMV(t *testing.T) {
+	small, smallMV := partialRefreshMallocs(t, 4000)
+	large, largeMV := partialRefreshMallocs(t, 40000)
+	t.Logf("PartialRefresh mallocs: |MV|=%d → %d, |MV|=%d → %d", smallMV, small, largeMV, large)
+	if largeMV < 8*smallMV {
+		t.Fatalf("|MV| %d vs %d: the loads must differ at least 8x", largeMV, smallMV)
+	}
+	if large >= 2*small {
+		t.Fatalf("PartialRefresh allocated %d objects at |MV|=%d but %d at |MV|=%d: the install grows with the view, not the diff",
+			large, largeMV, small, smallMV)
+	}
+}
+
+// partialRefreshMallocs loads a retail database with the given number
+// of sales (80% High customers, so most sales are in the view), then
+// three times propagates one fixed 20-tuple basket and counts the
+// mallocs of the PartialRefresh that applies it. It returns the fewest
+// and |MV| before the first round.
+func partialRefreshMallocs(t *testing.T, sales int) (mallocs uint64, mvSize int) {
+	t.Helper()
+	db := storage.NewDatabase()
+	w := workload.NewRetail(workload.RetailConfig{
+		Customers: 1000, HighFraction: 0.8, InitialSales: sales, Items: 500, ZipfS: 1.2, Seed: 1,
+	})
+	if err := w.Setup(db); err != nil {
+		t.Fatal(err)
+	}
+	mgr := core.NewManager(db)
+	def, err := w.ViewDef()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := mgr.DefineView("hv", def, core.Combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := db.Bag(v.MVTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mvSize = mv.Len()
+	mallocs = ^uint64(0)
+	var before, after runtime.MemStats
+	for round := 0; round < 3; round++ {
+		// Customer 0 is High; 20 distinct items, all nonzero quantity,
+		// so the pending diff is the same 20 view tuples at both sizes.
+		basket := bag.New()
+		for i := 0; i < 20; i++ {
+			basket.Add(schema.Row(0, 1000*(round+1)+i, 1+i%5, 9.99), 1)
+		}
+		if err := mgr.Execute(txn.Insert("sales", basket)); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Propagate("hv"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		err := mgr.PartialRefresh("hv")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; n < mallocs {
+			mallocs = n
+		}
+	}
+	if err := mgr.CheckConsistent("hv"); err != nil {
+		t.Fatal(err)
+	}
+	return mallocs, mvSize
 }

@@ -6,7 +6,8 @@
 //
 // A Bag maps canonical tuple keys to (tuple, multiplicity) entries. All
 // operations are pure: they return fresh bags and never mutate operands,
-// except the explicitly-mutating Add/Remove used by the storage layer.
+// except the explicitly-mutating Add/AddBag/Remove/RemoveBag used by the
+// storage layer and the in-place maintenance installs.
 package bag
 
 import (
@@ -120,6 +121,17 @@ func (b *Bag) AddBag(o *Bag) *Bag {
 // Remove removes up to n copies of t.
 func (b *Bag) Remove(t schema.Tuple, n int) *Bag { return b.Add(t, -n) }
 
+// RemoveBag removes o's contents from b in place — b := b ∸ o, each
+// multiplicity clamped at zero — touching only o's tuples. It walks o's
+// keys rather than re-encoding each tuple, and journals exactly as one
+// Remove per distinct tuple of o would.
+func (b *Bag) RemoveBag(o *Bag) *Bag {
+	for k, e := range o.m {
+		b.addKeyed(k, e.tuple, -e.count)
+	}
+	return b
+}
+
 // Clear empties the bag in place.
 func (b *Bag) Clear() {
 	b.m = make(map[string]entry)
@@ -169,8 +181,9 @@ func (b *Bag) journalSince(v uint64) ([]jentry, bool) {
 }
 
 // Version returns a counter that changes on every mutation of the bag
-// (Add/AddBag/Remove/Clear). Together with the bag's identity it lets
-// derived structures — notably Index — validate cached state cheaply:
+// (Add/AddBag/Remove/RemoveBag/Clear). Together with the bag's identity
+// it lets derived structures — notably Index — validate cached state
+// cheaply:
 // same *Bag pointer plus same Version means the contents are unchanged.
 func (b *Bag) Version() uint64 { return b.ver }
 

@@ -1,21 +1,25 @@
 package bag
 
 import (
+	"maps"
 	"testing"
 
 	"dvm/internal/schema"
 )
 
-// FuzzBagOps interprets the input as a program of Add/Remove/Clear
-// operations executed against both a Bag and a plain map[string]int
-// reference model, then checks the bag's accounting (Len, Distinct,
-// Count) against the model and the algebraic laws of Section 2.1 that
-// the DEL/ADD differentials depend on.
+// FuzzBagOps interprets the input as a program of Add/Remove/RemoveBag/
+// Clear operations executed against both a Bag and a plain
+// map[string]int reference model, then checks the bag's accounting
+// (Len, Distinct, Count) against the model and the algebraic laws of
+// Section 2.1 that the DEL/ADD differentials depend on. Each RemoveBag
+// is also checked against Monus and against an index built before it
+// and brought up to date with Sync.
 func FuzzBagOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0, 2, 1, 3})
 	f.Add([]byte{1, 0, 0, 1, 0, 1, 9, 3, 3, 3})
 	f.Add([]byte{0, 5, 1, 0, 5, 2, 2, 0, 5, 3, 255, 0, 0, 0})
+	f.Add([]byte{0, 7, 3, 1, 12, 2, 5, 7, 1, 5, 12, 3, 5, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := New()
@@ -34,6 +38,15 @@ func FuzzBagOps(f *testing.F) {
 			case 3, 4:
 				b.Remove(tu, n)
 				model[key] -= n
+			case 5:
+				// o holds n copies of tu plus one of a second tuple.
+				other := schema.Row(int(data[i+2]%5), int(data[i+1]%5))
+				o := New().Add(tu, n).Add(other, 1)
+				checkRemoveBag(t, b, o)
+				model[key] -= n
+				if model[other.Key()]--; model[other.Key()] <= 0 {
+					delete(model, other.Key())
+				}
 			case 7:
 				b.Clear()
 				model = map[string]int{}
@@ -102,4 +115,49 @@ func FuzzBagOps(f *testing.F) {
 			t.Fatal("EachOrdered visited different contents than Each")
 		}
 	})
+}
+
+// checkRemoveBag runs b.RemoveBag(o) and checks the result against
+// Monus(b, o), the journal against one entry per distinct tuple of o,
+// and an index built before the removal and then Synced against one
+// built from scratch afterwards.
+func checkRemoveBag(t *testing.T, b, o *Bag) {
+	t.Helper()
+	want := Monus(b, o)
+	pos := []int{1}
+	ix := NewIndex(b, pos)
+	before := b.Version()
+	b.RemoveBag(o)
+	if !b.Equal(want) {
+		t.Fatalf("RemoveBag = %v, Monus says %v", b, want)
+	}
+	if got := b.Version() - before; got != uint64(o.Distinct()) {
+		t.Fatalf("RemoveBag bumped the version %d times, want one per distinct tuple (%d)", got, o.Distinct())
+	}
+	applied, ok := ix.Sync(b)
+	if !ok {
+		// Only a journal window that overflowed past the index's
+		// version may refuse.
+		if b.jbase <= before {
+			t.Fatal("Sync refused although the journal covers the RemoveBag")
+		}
+		return
+	}
+	if applied != o.Distinct() {
+		t.Fatalf("Sync applied %d journal entries, want %d", applied, o.Distinct())
+	}
+	if got, want := indexContents(ix), indexContents(NewIndex(b, pos)); !maps.Equal(got, want) {
+		t.Fatalf("synced index %v, rebuilt index %v", got, want)
+	}
+}
+
+// indexContents flattens an index to index key + tuple key → count.
+func indexContents(ix *Index) map[string]int {
+	out := map[string]int{}
+	for k, bucket := range ix.m {
+		for _, e := range bucket {
+			out[k+"|"+e.Key] += e.Count
+		}
+	}
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"dvm/internal/bag"
 	"dvm/internal/delta"
 	"dvm/internal/obs/trace"
+	"dvm/internal/storage"
 )
 
 // Compiled delta programs: every maintenance expression a view needs is
@@ -20,15 +21,18 @@ import (
 // CheckInvariant/CheckConsistent recompute Q and PAST(L,Q) with it from
 // scratch, and the differential tests hold the compiled path to it.
 
-// compiledAssign is one compiled simultaneous-assignment bundle: the
-// program's roots are the assignment right-hand sides, tables the
-// install targets in root order, and state the reusable evaluation
-// scratch (slot cache + join indexes). A state is reused only under the
-// manager's single-writer discipline, never concurrently.
+// compiledAssign is one compiled simultaneous-assignment bundle, with
+// state the reusable evaluation scratch (slot cache + join indexes). A
+// state is reused only under the manager's single-writer discipline,
+// never concurrently. In a replace bundle the program's roots are the
+// assignment right-hand sides and tables the install targets in root
+// order. An update bundle (compileUpdate) has one target and the two
+// roots (del, add), installed in place as target := (target ∸ del) ⊎ add.
 type compiledAssign struct {
 	prog   *algebra.Program
 	state  *algebra.State
 	tables []string
+	update bool
 }
 
 // compiledDelta holds every program compiled for one view. Fields are
@@ -93,13 +97,17 @@ func (m *Manager) compilePrograms(v *View) error {
 	return nil
 }
 
-// compileUpdate compiles target := (target ∸ del) ⊎ add.
+// compileUpdate compiles target := (target ∸ del) ⊎ add as an update
+// bundle: only del and add are compiled, and runCompiledAssigns applies
+// them to the live target bag, so the install costs O(|del|+|add|)
+// rather than O(|target|).
 func (m *Manager) compileUpdate(target string, del, add algebra.Expr) (*compiledAssign, error) {
-	upd, err := applyDelta(m.baseExpr(target), del, add)
+	ca, err := m.compileExprs([]string{target}, del, add)
 	if err != nil {
 		return nil, err
 	}
-	return m.compileExprs([]string{target}, upd)
+	ca.update = true
+	return ca, nil
 }
 
 // compileFold compiles the composition-lemma fold of (del, add) into
@@ -172,19 +180,34 @@ func (m *Manager) evalCompiled(v *View, ca *compiledAssign, parent *trace.Span) 
 }
 
 // runCompiledAssigns evaluates a compiled assignment bundle and
-// installs each root into its target table. Simultaneous semantics
-// hold because Program.Eval computes every root against the pre-state
-// before anything is installed.
+// installs it. Simultaneous semantics hold because Program.Eval
+// computes every root against the pre-state before anything is
+// installed, and every target is looked up before the first install,
+// so a failure leaves all targets untouched.
+//
+// An update bundle removes del from the live target bag and adds add
+// to it. Monus clamps per tuple, so this equals (target ∸ del) ⊎ add
+// exactly; the bag keeps its identity, so an index over it catches up
+// through its journal (Index.Sync) and a reader's earlier Query copy is
+// unaffected. A replace bundle swaps each root in as its table's bag.
 func (m *Manager) runCompiledAssigns(v *View, ca *compiledAssign, parent *trace.Span) error {
-	outs, err := m.evalCompiled(v, ca, parent)
-	if err != nil {
-		return err
-	}
+	targets := make([]*storage.Table, len(ca.tables))
 	for i, name := range ca.tables {
 		tb, err := m.db.Table(name)
 		if err != nil {
 			return err
 		}
+		targets[i] = tb
+	}
+	outs, err := m.evalCompiled(v, ca, parent)
+	if err != nil {
+		return err
+	}
+	if ca.update {
+		targets[0].Data().RemoveBag(outs[0]).AddBag(outs[1])
+		return nil
+	}
+	for i, tb := range targets {
 		tb.Replace(outs[i])
 	}
 	return nil

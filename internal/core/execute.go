@@ -148,9 +148,7 @@ func (m *Manager) Execute(t txn.Txn) error {
 				return err
 			}
 			if u.Delete != nil {
-				u.Delete.Each(func(t schema.Tuple, n int) {
-					tb.Data().Remove(t, n)
-				})
+				tb.Data().RemoveBag(u.Delete)
 			}
 			if u.Insert != nil {
 				tb.Data().AddBag(u.Insert)
@@ -253,11 +251,9 @@ func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 			ins = bag.Select(ins, fn)
 		}
 		x := bag.Monus(del, insLog.Data()) // ∇R ∸ ▲R, against pre-state ▲R
-		del.Each(func(t schema.Tuple, n int) {
-			insLog.Data().Remove(t, n) // ▲R ∸= ∇R (clamped at zero)
-		})
-		insLog.Data().AddBag(ins) // ⊎ △R
-		delLog.Data().AddBag(x)   // ▼R ⊎= x
+		insLog.Data().RemoveBag(del)       // ▲R ∸= ∇R (clamped at zero)
+		insLog.Data().AddBag(ins)          // ⊎ △R
+		delLog.Data().AddBag(x)            // ▼R ⊎= x
 	}
 	return nil
 }

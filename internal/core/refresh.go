@@ -83,7 +83,10 @@ func (m *Manager) Refresh(name string) error {
 
 // startDowntimeSpan opens the MV-exclusive core.refresh.apply span
 // under the lock-hold span together with the view_downtime_ns obs
-// span. The caller must finish both with
+// span. The span carries mv_tuples, |MV| before the install, so a
+// refresh's downtime can be read against the view size as well as
+// against the log_tuples/diff_tuples it applies. The caller must
+// finish both with
 //
 //	defer func() { asp.EndExplicit(dsp.End()) }()
 //
@@ -91,7 +94,12 @@ func (m *Manager) Refresh(name string) error {
 // that equality is what lets the E2E trace test reconcile a trace's
 // exclusive spans against the downtime histogram exactly.
 func (m *Manager) startDowntimeSpan(v *View, hold *trace.Span) (*trace.Span, obs.Span) {
-	asp := hold.StartChild(trace.SpanRefreshApply, trace.Str("view", v.Name))
+	var mvTuples int
+	if mv, err := m.db.Bag(v.mvName); err == nil {
+		mvTuples = mv.Len()
+	}
+	asp := hold.StartChild(trace.SpanRefreshApply,
+		trace.Str("view", v.Name), trace.Int("mv_tuples", int64(mvTuples)))
 	asp.SetExclusive()
 	return asp, obs.StartSpan(v.met.downtimeNs)
 }

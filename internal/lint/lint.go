@@ -86,9 +86,11 @@ func DefaultConfig() Config {
 			"DefineView",
 			// Compiled delta programs: the Figure 3 transactions run
 			// as fused closures, with the results installed by
-			// Table.Replace in runCompiledAssigns (IM/DT makesafe
-			// inside Execute's apply closure, refresh and propagate);
-			// clearLogs resets consumed logs.
+			// runCompiledAssigns — MV updates in place (remove ∇,
+			// add △ on the live bag), differential-table folds by
+			// Table.Replace — for IM/DT makesafe inside Execute's
+			// apply closure, refresh and propagate; clearLogs resets
+			// consumed logs.
 			"runCompiledAssigns", "clearLogs",
 		},
 		DocPkgs: []string{

@@ -16,8 +16,14 @@ func Drain(b *bag.Bag) {
 	b.Clear() // want: mutation of parameter
 }
 
+// Shrink removes another bag from a bag parameter without a marker.
+func Shrink(b, d *bag.Bag) {
+	b.RemoveBag(d) // want: mutation of parameter
+}
+
 // ApplyDelta carries the Apply marker: in-place mutation is declared.
 func ApplyDelta(b, d *bag.Bag) {
+	b.RemoveBag(d)
 	b.AddBag(d)
 }
 

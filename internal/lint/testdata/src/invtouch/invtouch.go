@@ -58,3 +58,8 @@ func LocalBag(tu schema.Tuple) *bag.Bag {
 func Reader(t *storage.Table) int {
 	return t.Len()
 }
+
+// RogueInstall applies a diff to live table contents in place.
+func RogueInstall(t *storage.Table, del, add *bag.Bag) {
+	t.Data().RemoveBag(del).AddBag(add) // want: Bag.RemoveBag and Bag.AddBag on table contents outside blessed
+}

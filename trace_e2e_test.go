@@ -35,6 +35,15 @@ func TestTracePolicy1RetailDay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	v, err := mgr.View("hv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mvBefore, err := mgr.DB().Bag(v.MVTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMV := int64(mvBefore.Len())
 	if err := mgr.Refresh("hv"); err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +94,9 @@ func TestTracePolicy1RetailDay(t *testing.T) {
 	}
 	if !apply.Exclusive {
 		t.Fatalf("%s span is not marked exclusive", trace.SpanRefreshApply)
+	}
+	if got, ok := intAttr(apply, "mv_tuples"); !ok || got != wantMV {
+		t.Fatalf("%s mv_tuples = %d (present %v), want |MV| before the refresh = %d", trace.SpanRefreshApply, got, ok, wantMV)
 	}
 	// Every compiled evaluation of the refresh — propagate_C's fold and
 	// partial_refresh_C's apply — runs inside the downtime section, so
@@ -163,4 +175,14 @@ func traceWithRoot(t *testing.T, traces []*trace.Trace, name string) *trace.Trac
 	}
 	t.Fatalf("no trace with root %s", name)
 	return nil
+}
+
+// intAttr returns the integer attribute key of s, if present.
+func intAttr(s *trace.Span, key string) (int64, bool) {
+	for _, a := range s.Attrs {
+		if a.Key == key && a.IsInt {
+			return a.I, true
+		}
+	}
+	return 0, false
 }
